@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,8 +33,11 @@ from .core import (
     Rng,
     ZeroProbabilityError,
     as_prob,
+    check_finite,
     format_prob,
+    integer_scaled,
     is_exact,
+    scaled_quotient,
 )
 
 JITTER = (-1, 0, 1)
@@ -59,6 +63,7 @@ class ChannelParams:
         object.__setattr__(self, "eps", as_prob(self.eps))
         if len(self.p) != self.k - self.d + 1:
             raise ValueError(f"need {self.k - self.d + 1} input weights")
+        check_finite(self.p + (self.eps,), "channel weights")
         for w in self.p:
             if w < 0:
                 raise ValueError("negative input weight")
@@ -99,6 +104,20 @@ class ChannelParams:
     def stationary_vector(self) -> tuple[Prob, Prob, Prob]:
         return (self.eps, 1 - 2 * self.eps, self.eps)
 
+    @cached_property
+    def _forward_model(self) -> tuple[tuple, list[tuple], int | float, int | float]:
+        """(init, mats, den0, den) for the forward recursion, built once per
+        instance: the stationary vector over den0 and, per output symbol, the
+        row-major 3x3 transition matrix over den, both from integer_scaled.
+        Kept on the instance, not in a cache keyed on the params, because an
+        exact instance and its float twin compare and hash equal."""
+        init, den0 = integer_scaled(self.stationary_vector(), self.exact)
+        mats = transition_matrices(self)
+        flat, den = integer_scaled([v for y in self.output_symbols for row in mats[y]
+                                    for v in row], self.exact)
+        return (tuple(init), [tuple(flat[i:i + 9]) for i in range(0, len(flat), 9)],
+                den0, den)
+
 
 def apply_channel(x: Sequence[int], omega: Sequence[int]) -> tuple[int, ...]:
     """Channel output for input x and jitter omega; omega carries one extra
@@ -135,16 +154,22 @@ def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
+def _step(m: tuple, alpha: tuple) -> tuple:
+    """One forward step, alpha'[t] = sum over s of m[t][s] alpha[s], on the
+    row-major matrix of ChannelParams._forward_model."""
+    a0, a1, a2 = alpha
+    return (m[0] * a0 + m[1] * a1 + m[2] * a2,
+            m[3] * a0 + m[4] * a1 + m[5] * a2,
+            m[6] * a0 + m[7] * a1 + m[8] * a2)
+
+
 def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
     """Output-cylinder probability via the three-state forward recursion."""
     word = _check_word(params, y)
-    mats = transition_matrices(params)
-    alpha = list(params.stationary_vector())
-    zero = Fraction(0) if params.exact else 0.0
+    alpha, mats, den0, den = params._forward_model
     for v in word:
-        m = mats[v]
-        alpha = [sum((m[t][s] * alpha[s] for s in range(3)), zero) for t in range(3)]
-    return sum(alpha, zero)
+        alpha = _step(mats[v], alpha)
+    return scaled_quotient(sum(alpha), den0 * den ** len(word))
 
 
 def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
@@ -269,21 +294,20 @@ def block_distribution(params: ChannelParams, n: int,
         raise ValueError("n must be >= 1")
     if n > cap:
         raise EnumerationCapError(f"block distribution capped at n <= {cap}")
-    mats = transition_matrices(params)
-    zero = Fraction(0) if params.exact else 0.0
+    init, mats, den0, den = params._forward_model
+    scale = den0 * den ** n
     out: dict[tuple[int, ...], Prob] = {}
 
     def walk(prefix: tuple[int, ...], alpha) -> None:
         if len(prefix) == n:
-            out[prefix] = sum(alpha, zero)
+            out[prefix] = scaled_quotient(sum(alpha), scale)
             return
         for y in params.output_symbols:
-            m = mats[y]
-            nxt = [sum((m[t][s] * alpha[s] for s in range(3)), zero) for t in range(3)]
+            nxt = _step(mats[y], alpha)
             if any(v != 0 for v in nxt):
                 walk(prefix + (y,), nxt)
 
-    walk((), list(params.stationary_vector()))
+    walk((), init)
     return out
 
 

@@ -300,7 +300,10 @@ def _write_csv(meta: dict, comments: list[str], columns: list[str],
 
 def _write_json(meta: dict, payload: dict, precision: int | None) -> str:
     doc = {"meta": meta, **_jsonable(payload, precision)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:  # NaN is not JSON; a result that holds one is a numeric failure
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise FloatingPointError(f"result is not finite: {e}") from e
 
 
 # ---------------------------------------------------------------- runners
@@ -591,7 +594,7 @@ def main(argv=None) -> int:
         return _fail(1, "invalid-config", str(e))
     except EnumerationCapError as e:
         return _fail(2, "cap-exceeded", str(e))
-    except (ZeroProbabilityError, OverflowError, ZeroDivisionError) as e:
+    except (ZeroProbabilityError, OverflowError, ZeroDivisionError, FloatingPointError) as e:
         return _fail(3, "numeric-failure", f"{type(e).__name__}: {e}")
     except (ValueError, TypeError, KeyError) as e:
         return _fail(1, "invalid-config", f"{type(e).__name__}: {e}")

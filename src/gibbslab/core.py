@@ -1,10 +1,11 @@
 """Shared primitives: alphabets, windows, configurations, cylinder measures.
 
-Probabilities travel in one of two modes.  Rational mode keeps everything as
-`fractions.Fraction`, so marginalization identities hold exactly and tests can
-compare with `==`.  Float mode uses IEEE doubles; long products go through log
-space.  Mode is carried by the values themselves (Fraction vs float), not by a
-global switch.
+Probabilities travel in one of two modes.  Rational mode hands out
+`fractions.Fraction`s (forward recursions step integer numerators over a
+common denominator inside, see `integer_scaled`), so marginalization
+identities hold exactly and tests can compare with `==`.  Float mode uses
+IEEE doubles; long products go through log space.  Mode is carried by the
+values themselves (Fraction vs float), not by a global switch.
 """
 from __future__ import annotations
 
@@ -53,6 +54,36 @@ def as_prob(x) -> Prob:
     if isinstance(x, str):
         return Fraction(x)  # accepts "3/4", "0.25", "2"
     raise TypeError(f"cannot interpret {x!r} as a probability")
+
+
+def check_finite(values: Iterable[Prob], what: str) -> None:
+    """Reject NaN and infinite weights, which every `<`, `>` and `!=` range
+    test lets through (NaN compares False both ways)."""
+    for v in values:
+        if not is_exact(v) and not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v!r}")
+
+
+def integer_scaled(values: Sequence[Prob], exact: bool) -> tuple[list, int | float]:
+    """(nums, den) with nums[i] / den == values[i], for forward recursions.
+
+    Exact: each value's rational value (a float reads as the dyadic rational
+    it stores) times the least common denominator, as an int, so a recursion
+    over them steps Python ints and divides once at the end.  Float: the
+    values as floats over 1.0; multiplying and dividing by 1.0 is exact, so
+    the same recursion gives the same float bits as one on the raw values.
+    """
+    if not exact:
+        return [float(v) for v in values], 1.0
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def scaled_quotient(num: int | float, den: int | float) -> Prob:
+    """num / den for sums over integer_scaled weights: one lowest-terms
+    Fraction for an int den, a float division otherwise."""
+    return Fraction(num, den) if isinstance(den, int) else num / den
 
 
 def format_prob(x: Prob) -> str:
@@ -288,6 +319,7 @@ class BernoulliMeasure(MeasureProvider):
         if len(weights) != len(alphabet):
             raise ValueError("one weight per symbol required")
         ws = [as_prob(w) for w in weights]
+        check_finite(ws, "weights")
         for w in ws:
             if w < 0:
                 raise ValueError("negative weight")
@@ -350,6 +382,7 @@ class TableMeasure(MeasureProvider):
         if len(table) != len(alphabet) ** window.size:
             raise ValueError("table must cover every word on the window")
         ws = {w: as_prob(v) for w, v in table.items()}
+        check_finite(ws.values(), "table weights")
         for word, w in ws.items():
             if len(word) != window.size:
                 raise ValueError("table key of wrong length")

@@ -99,15 +99,39 @@ def density_ratio(nu: MeasureProvider, mu: MeasureProvider,
     return nu.prob(cfg) / denom
 
 
-def _split_positions(delta: Window, lam: Window) -> tuple[list[int], list[int]]:
+def _rest_positions(delta: Window, lam: Window) -> list[int]:
+    """Offsets within delta of the coordinates outside lam."""
     if not delta.contains_window(lam):
         raise ValueError("lam must sit inside delta")
-    lam_ix = [i - delta.lo for i in lam.indices()]
-    inside = set(lam_ix)
-    rest_ix = [j for j in range(delta.size) if j not in inside]
+    rest_ix = [j for j in range(delta.size) if j + delta.lo not in lam]
     if not rest_ix:
         raise ValueError("lam must be a proper subset of delta")
-    return lam_ix, rest_ix
+    return rest_ix
+
+
+def _conditional_split(p: dict, q: dict, rest_ix: list[int]):
+    """Marginals of p and q on the rest coordinates, and per rest word charged
+    by both, the L1 gap between their conditionals on lam.
+
+    Returns (zero, p_rest, q_rest, gaps).  Rest words with no p-mass carry no
+    weight and get no gap; those with p-mass but no q-mass get none either,
+    and each caller decides whether that is an error.
+    """
+    zero = p[next(iter(p))] * 0
+    p_rest: dict[tuple[int, ...], Prob] = {}
+    q_rest: dict[tuple[int, ...], Prob] = {}
+    for w, v in p.items():
+        rest = tuple(w[j] for j in rest_ix)
+        p_rest[rest] = p_rest.get(rest, zero) + v
+        q_rest[rest] = q_rest.get(rest, zero) + q[w]
+    gaps: dict[tuple[int, ...], Prob] = {}
+    for w, pw in p.items():
+        rest = tuple(w[j] for j in rest_ix)
+        if p_rest[rest] == 0 or q_rest[rest] == 0:
+            continue
+        gaps[rest] = gaps.get(rest, zero) + \
+            abs(pw / p_rest[rest] - q[w] / q_rest[rest])
+    return zero, p_rest, q_rest, gaps
 
 
 @dataclass(frozen=True)
@@ -128,21 +152,15 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     must come out exactly equal; `equal` reports == there and a 1e-12
     comparison in float mode.
     """
-    lam_ix, rest_ix = _split_positions(delta, lam)
+    rest_ix = _rest_positions(delta, lam)
     p = nu.distribution(delta, cap)
     q = mu.distribution(delta, cap)
     exact = all(is_exact(v) for v in p.values()) and \
         all(is_exact(v) for v in q.values())
-    zero = p[next(iter(p))] * 0
-    p_rest: dict[tuple[int, ...], Prob] = {}
-    q_rest: dict[tuple[int, ...], Prob] = {}
-    for w, v in p.items():
-        if v != 0 and q[w] == 0:
-            raise ZeroProbabilityError(
-                "identity needs nu absolutely continuous w.r.t. mu on delta")
-        rest = tuple(w[j] for j in rest_ix)
-        p_rest[rest] = p_rest.get(rest, zero) + v
-        q_rest[rest] = q_rest.get(rest, zero) + q[w]
+    if any(v != 0 and q[w] == 0 for w, v in p.items()):
+        raise ZeroProbabilityError(
+            "identity needs nu absolutely continuous w.r.t. mu on delta")
+    zero, p_rest, q_rest, gaps = _conditional_split(p, q, rest_ix)
 
     lhs = zero
     for w, qw in q.items():
@@ -152,13 +170,6 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
         lhs += abs(p[w] - qw * p_rest[rest] / q_rest[rest])
 
     rhs = zero
-    gaps: dict[tuple[int, ...], Prob] = {}
-    for w, pw in p.items():
-        rest = tuple(w[j] for j in rest_ix)
-        if p_rest[rest] == 0:
-            continue
-        gaps[rest] = gaps.get(rest, zero) + \
-            abs(pw / p_rest[rest] - q[w] / q_rest[rest])
     for rest, gap in gaps.items():
         rhs += p_rest[rest] * gap
 
@@ -188,26 +199,13 @@ def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     rows = []
     for n in range(lam.hi + 1, n_max + 1):
         delta = Window(lam.lo, n)
-        lam_ix, rest_ix = _split_positions(delta, lam)
+        rest_ix = _rest_positions(delta, lam)
         p = nu.distribution(delta, cap)
         q = mu.distribution(delta, cap)
-        zero = p[next(iter(p))] * 0
-        p_rest: dict[tuple[int, ...], Prob] = {}
-        q_rest: dict[tuple[int, ...], Prob] = {}
-        for w, v in p.items():
-            rest = tuple(w[j] for j in rest_ix)
-            p_rest[rest] = p_rest.get(rest, zero) + v
-            q_rest[rest] = q_rest.get(rest, zero) + q[w]
-        gaps: dict[tuple[int, ...], Prob] = {}
-        for w, pw in p.items():
-            rest = tuple(w[j] for j in rest_ix)
-            if p_rest[rest] == 0:
-                continue
-            if q_rest[rest] == 0:
-                raise ZeroProbabilityError(
-                    "mu puts no mass on a conditioning word nu charges")
-            gaps[rest] = gaps.get(rest, zero) + \
-                abs(pw / p_rest[rest] - q[w] / q_rest[rest])
+        zero, p_rest, q_rest, gaps = _conditional_split(p, q, rest_ix)
+        if any(v != 0 and q_rest[r] == 0 for r, v in p_rest.items()):
+            raise ZeroProbabilityError(
+                "mu puts no mass on a conditioning word nu charges")
         mean = sum((p_rest[r] * g for r, g in gaps.items()), zero)
         biggest = max(gaps.values(), default=zero)
         rows.append(ConditionalGapRow(n, float(mean), float(biggest), len(gaps)))

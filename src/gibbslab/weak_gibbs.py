@@ -35,10 +35,13 @@ from .core import (
     Window,
     as_prob,
     binary_config,
+    check_finite,
     config,
     format_prob,
     glue,
+    integer_scaled,
     is_exact,
+    scaled_quotient,
 )
 
 VOLUME_CAP = 20  # largest finite volume [0, m] a provider will take by default
@@ -53,6 +56,7 @@ class InteractionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "rho", as_prob(self.rho))
+        check_finite((self.rho,), "rho")
         if not (0 < self.rho < 1):
             raise ValueError(f"rho must lie in (0,1), got {self.rho}")
         if self.m < 0 or self.m % 2:
@@ -63,7 +67,7 @@ class InteractionParams:
         return is_exact(self.rho)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 1/2 and 0.5 hash equal; keep their powers apart
 def _rho_pow(rho: Prob, e: int) -> Prob:
     return rho ** e
 
@@ -239,8 +243,9 @@ class FiniteVolumeMeasure(MeasureProvider):
     states, which is exact and equivalent to summing all 2^(m+1) words; the
     brute-force oracle re-derives small volumes the literal way.  In rational
     mode each factor e^{-rho^e} is the IEEE-double value reinterpreted as an
-    exact Fraction, so marginalization identities hold exactly while the
-    weights sit within 1 ulp of the transcendental truth.
+    exact dyadic rational, so marginalization identities hold exactly while
+    the weights sit within 1 ulp of the transcendental truth; the pass runs
+    on their integer numerators over a common power-of-two denominator.
     """
 
     def __init__(self, params: InteractionParams, mode: str = "float",
@@ -257,38 +262,38 @@ class FiniteVolumeMeasure(MeasureProvider):
         self.alphabet = BINARY
         self.support_window = Window(0, params.m)
         self.label = f"weak-gibbs(rho={format_prob(params.rho)},m={params.m})"
-        self._weight = {}
-        for e in range(params.m // 2 + 1):
-            w = math.exp(-float(_rho_pow(params.rho, e)))
-            self._weight[e] = Fraction(w) if mode == "rational" else w
-        self._one = Fraction(1) if mode == "rational" else 1.0
+        self._weight, self._den = integer_scaled(
+            [math.exp(-float(_rho_pow(params.rho, e))) for e in range(params.m // 2 + 1)],
+            mode == "rational")
         self._total = self._forward_sum({})
 
-    def _forward_sum(self, fixed: dict[int, int]) -> Prob:
-        """Sum of e^{-H} over all words on [0, m] matching `fixed`."""
-        m = self.params.m
-        one = self._one
+    def _forward_sum(self, fixed: dict[int, int]) -> int | float:
+        """Sum of e^{-H} over all words on [0, m] matching `fixed`, times
+        den^(m/2).
+
+        Every even site past 0 multiplies each path by den: by a weight
+        numerator where an interaction term fires, by den itself where none
+        does.  So the pass steps ints in rational mode (den is 1.0 in float
+        mode), and the scale cancels in the quotient of two sums.
+        """
+        m, den, weight = self.params.m, self._den, self._weight
         # branch sigma_0 = 0: every term vanishes, weight 1 per word
-        zero_branch = one * 0
+        zero_branch = 0
         if fixed.get(0, 0) == 0:
             free = sum(1 for i in range(1, m + 1) if i not in fixed)
-            zero_branch = one * 2 ** free
+            zero_branch = 2 ** free * den ** (m // 2)
         # branch sigma_0 = 1: forward pass over trailing-run states
-        one_branch = one * 0
+        one_branch = 0
         if fixed.get(0, 1) == 1:
-            states = {1: one}
+            states = {1: 1}
             for i in range(1, m + 1):
-                choices = (fixed[i],) if i in fixed else (0, 1)
-                nxt: dict[int, Prob] = {}
-                for v in choices:
+                n, odd = divmod(i, 2)
+                nxt: dict[int, int | float] = {}
+                if fixed.get(i, 0) == 0:  # a 0 ends every run
+                    nxt[0] = sum(states.values()) * (1 if odd else den)
+                if fixed.get(i, 1) == 1:  # a 1 extends every run; U(i) fires if it stays <= n
                     for r, acc in states.items():
-                        r2 = r + 1 if v == 1 else 0
-                        w = acc
-                        if v == 1 and i % 2 == 0:
-                            n = i // 2
-                            if r2 <= n:
-                                w = acc * self._weight[n - r2]
-                        nxt[r2] = nxt.get(r2, one * 0) + w
+                        nxt[r + 1] = acc if odd else acc * (weight[n - r - 1] if r < n else den)
                 states = nxt
             one_branch = sum(states.values())
         return zero_branch + one_branch
@@ -296,7 +301,7 @@ class FiniteVolumeMeasure(MeasureProvider):
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
         fixed = {i: cfg.value_at(i) for i in cfg.window.indices()}
-        return self._forward_sum(fixed) / self._total
+        return scaled_quotient(self._forward_sum(fixed), self._total)
 
     def event_prob(self, fixed: dict[int, int]) -> Prob:
         """Probability that the listed sites (not necessarily contiguous) hold
@@ -306,7 +311,7 @@ class FiniteVolumeMeasure(MeasureProvider):
                 raise ValueError(f"site {i} outside the volume [0,{self.params.m}]")
             if v not in (0, 1):
                 raise ValueError("binary symbols only")
-        return self._forward_sum(dict(fixed)) / self._total
+        return scaled_quotient(self._forward_sum(dict(fixed)), self._total)
 
 
 def finite_volume_measure(params: InteractionParams, mode: str = "float",

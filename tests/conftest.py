@@ -1,9 +1,17 @@
+import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gibbslab import ChannelParams
+
+# pyproject's `pythonpath` puts src/ on sys.path for this process only; tests
+# that run `python -m gibbslab` in a child process need it on PYTHONPATH too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 _ACCEPTANCE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _results: dict[int, tuple[str, str]] = {}

@@ -331,3 +331,36 @@ def test_capacity_validation():
         capacity_search(2, 6, Fraction(1, 4))
     with pytest.raises(ValueError):
         capacity_search(2, 3, Fraction(1, 4), grid=1)
+
+
+# ------------------------------------------------- exact and float twins
+
+def _twin_results(params):
+    cyl = {w: cylinder_prob(params, w) for w in ((0, 2), (0, 2, 2), (2, 2), (0, 0))}
+    return cyl, block_distribution(params, 1)
+
+
+def test_exact_and_float_twins_keep_their_own_arithmetic():
+    # the twins compare and hash equal, so nothing may be cached under that key
+    want_cyl = {(0, 2): Fraction(1, 256), (0, 2, 2): Fraction(1, 2048),
+                (2, 2): Fraction(3, 32), (0, 0): Fraction(0)}
+    want_block = {(0,): Fraction(1, 32), (1,): Fraction(5, 32), (2,): Fraction(5, 16),
+                  (3,): Fraction(5, 16), (4,): Fraction(5, 32), (5,): Fraction(1, 32)}
+    for order in ((True, False), (False, True)):
+        exact = ChannelParams(2, 3, HALF, Fraction(1, 4))
+        twin = ChannelParams(2, 3, (0.5, 0.5), 0.25)
+        assert exact == twin and hash(exact) == hash(twin)
+        for is_exact in order:
+            cyl, block = _twin_results(exact if is_exact else twin)
+            kind = Fraction if is_exact else float
+            assert all(type(v) is kind for v in (*cyl.values(), *block.values()))
+            assert cyl == want_cyl and block == want_block
+
+
+def test_params_reject_non_finite_weights():
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams(2, 3, (math.nan, 0.5), 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams(2, 4, (math.inf, 0.5, -math.inf), 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams(2, 3, (0.5, 0.5), math.nan)

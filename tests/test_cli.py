@@ -263,3 +263,24 @@ def test_failures_write_no_output_file(tmp_path, capsys):
                                  "--out", str(dest)])
     assert code == 2
     assert not dest.exists()
+
+
+def test_non_finite_weight_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {
+        **STD_CHANNEL, "p": [float("nan"), 0.5], "eps": 0.25,
+        "queries": [{"y": [0, 2]}]})
+    dest = tmp_path / "never.json"
+    expect_error(capsys, ["bs-cylinder", "--config", cfg, "--mode", "float",
+                          "--out", str(dest)], 1, "invalid-config")
+    assert not dest.exists()
+
+
+def test_non_finite_json_result_maps_to_exit_three(tmp_path, capsys, monkeypatch):
+    import gibbslab.cli as cli
+    monkeypatch.setitem(cli.RUNNERS, "bs-cylinder",
+                        lambda cfg, mode, seed: ("json", {"result": float("nan")}))
+    cfg = write_cfg(tmp_path, "c.json", {**STD_CHANNEL, "queries": [{"y": [0]}]})
+    dest = tmp_path / "never.json"
+    expect_error(capsys, ["bs-cylinder", "--config", cfg, "--out", str(dest)],
+                 3, "numeric-failure")
+    assert not dest.exists()

@@ -351,3 +351,13 @@ def test_rng_task_generators_are_reproducible():
     two = Rng(5).task_generator(7).random(4)
     assert list(one) == list(two)
     assert Rng(5).derive(2) == Rng(5, stream=2)
+
+
+def test_containers_reject_non_finite_weights():
+    with pytest.raises(ValueError, match="finite"):
+        BernoulliMeasure(BINARY, (math.nan, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        BernoulliMeasure(BINARY, (math.inf, -math.inf))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TableMeasure(BINARY, Window(0, 0), {(0,): 1.0, (1,): bad})

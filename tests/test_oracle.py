@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gibbslab import (
     ChannelParams,
@@ -93,3 +94,45 @@ def test_block_entropy_agreement(std_channel):
                    - block_entropy(std_channel, n)) < 1e-12
     with pytest.raises(EnumerationCapError):
         brute_block_entropy(std_channel, 6)
+
+
+# ------------------------------------------- integer-scaled exact backend
+
+@st.composite
+def exact_channels(draw):
+    """d = 2, k in {3, 4}, input weights with denominator <= 12, eps in [0, 1/2)."""
+    k = draw(st.sampled_from((3, 4)))
+    parts = draw(st.lists(st.integers(0, 4), min_size=k - 1, max_size=k - 1).filter(any))
+    b = draw(st.integers(1, 8))
+    eps = Fraction(draw(st.integers(0, (b - 1) // 2)), b)
+    return ChannelParams(2, k, tuple(Fraction(c, sum(parts)) for c in parts), eps)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(params=exact_channels(), data=st.data())
+def test_integer_backend_matches_the_channel_oracle(params, data):
+    symbols = st.sampled_from(params.output_symbols)
+    words = data.draw(st.lists(st.lists(symbols, min_size=1, max_size=4),
+                               min_size=1, max_size=3))
+    for word in words:
+        fast = cylinder_prob(params, word)
+        assert type(fast) is Fraction
+        assert fast == brute_channel_cylinder(params, word)
+    n = data.draw(st.integers(1, 3))
+    brute = brute_channel_distribution(params, n)
+    assert block_distribution(params, n) == {w: v for w, v in brute.items() if v != 0}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    num=st.integers(1, 8),
+    extra=st.integers(1, 8),
+    m=st.sampled_from((0, 2, 4, 6, 8)),
+    sites=st.dictionaries(st.integers(0, 8), st.integers(0, 1), max_size=4),
+)
+def test_integer_backend_matches_the_gibbs_oracle(num, extra, m, sites):
+    params = InteractionParams(Fraction(num, num + extra), m)
+    fixed = {i: v for i, v in sites.items() if i <= m}
+    fast = FiniteVolumeMeasure(params, mode="rational").event_prob(fixed)
+    assert type(fast) is Fraction
+    assert fast == brute_gibbs_conditional(params, fixed, m)

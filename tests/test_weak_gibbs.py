@@ -415,3 +415,18 @@ def test_enumerated_radius_validation():
         kernel_radius_enumerated(HALF, prefix, 40)
     with pytest.raises(ValueError):
         kernel_radius_enumerated(HALF, binary_config("01"), 8)
+
+
+def test_params_reject_non_finite_rho():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            InteractionParams(bad, 4)
+
+
+def test_float_twin_terms_stay_float_after_exact_ones():
+    # rho = 1/2 and 0.5 hash equal; the cached powers must keep their types
+    om = binary_config("10101")
+    exact = interaction_term(InteractionParams(Fraction(1, 2), 4), om, 2)
+    twin = interaction_term(InteractionParams(0.5, 4), om, 2)
+    assert exact == twin == Fraction(1, 2)
+    assert type(exact) is Fraction and type(twin) is float
