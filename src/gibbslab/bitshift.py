@@ -118,6 +118,15 @@ class ChannelParams:
         return (tuple(init), [tuple(flat[i:i + 9]) for i in range(0, len(flat), 9)],
                 den0, den)
 
+    @cached_property
+    def _float_matrices(self) -> np.ndarray:
+        """transition_matrices(self, as_float=True), built once per instance
+        (kept on the instance for the same reason as _forward_model) and
+        read-only, since every caller shares it."""
+        mats = transition_matrices(self, as_float=True)
+        mats.flags.writeable = False
+        return mats
+
 
 def apply_channel(x: Sequence[int], omega: Sequence[int]) -> tuple[int, ...]:
     """Channel output for input x and jitter omega; omega carries one extra
@@ -175,7 +184,7 @@ def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
 def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
     """log of the cylinder probability, accumulated with per-step rescaling."""
     word = _check_word(params, y)
-    mats = transition_matrices(params, as_float=True)
+    mats = params._float_matrices
     alpha = np.array([float(v) for v in params.stationary_vector()])
     out = 0.0
     for v in word:
@@ -356,7 +365,7 @@ def entropy_levels(params: ChannelParams, n: int, start: int | None = None,
         raise EnumerationCapError(
             f"block entropy at n={n} exceeds cap {cap} "
             f"(cost grows like admissible words ~ 5^n)")
-    mats = transition_matrices(params, as_float=True)
+    mats = params._float_matrices
     if start is None:
         init = np.array([float(v) for v in params.stationary_vector()])
     else:
@@ -418,7 +427,7 @@ def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEs
     simulated words.  Samples are drawn in deterministic per-task batches."""
     if n < 1 or samples < 2:
         raise ValueError("need n >= 1 and samples >= 2")
-    mats = transition_matrices(params, as_float=True)
+    mats = params._float_matrices
     init = np.array([float(v) for v in params.stationary_vector()])
     batch = 2048
     vals = []

@@ -148,11 +148,11 @@ SCHEMAS: dict[tuple[str, str | None], dict] = {
         ["d", "k", "p", "eps", "n_max"]),
     ("bs-entropy", "levels"): _schema({
         **_CHANNEL_PROPS, "n_max": {"type": "integer", "minimum": 1},
-        "cap": {"type": "integer", "minimum": 1}},
+        "cap": {"type": "integer", "minimum": 1, "maximum": bs.BLOCK_ENTROPY_CAP}},
         ["d", "k", "p", "eps", "n_max"], "levels"),
     ("bs-entropy", "bounds"): _schema({
         **_CHANNEL_PROPS, "n_max": {"type": "integer", "minimum": 1},
-        "cap": {"type": "integer", "minimum": 1}},
+        "cap": {"type": "integer", "minimum": 1, "maximum": bs.BLOCK_ENTROPY_CAP}},
         ["d", "k", "p", "eps", "n_max"], "bounds"),
     ("bs-entropy", "smb"): _schema({
         **_CHANNEL_PROPS, "n": {"type": "integer", "minimum": 1},

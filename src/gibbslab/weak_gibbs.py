@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import (
     BINARY,
@@ -34,11 +34,8 @@ from .core import (
     Tail,
     Window,
     as_prob,
-    binary_config,
     check_finite,
-    config,
     format_prob,
-    glue,
     integer_scaled,
     is_exact,
     scaled_quotient,
@@ -65,6 +62,16 @@ class InteractionParams:
     @property
     def exact(self) -> bool:
         return is_exact(self.rho)
+
+    @cached_property
+    def _weights(self) -> tuple[list, int | float, Prob]:
+        """(nums, den, zero): rho^e == nums[e] / den for e = 0..m/2, from
+        integer_scaled, and a zero of rho's type.  Built on first use and kept
+        on the instance, not in a cache keyed on the params, because an exact
+        instance and its float twin compare and hash equal."""
+        nums, den = integer_scaled([_rho_pow(self.rho, e) for e in range(self.m // 2 + 1)],
+                                   self.exact)
+        return nums, den, Fraction(0) if self.exact else 0.0
 
 
 @lru_cache(maxsize=None, typed=True)  # 1/2 and 0.5 hash equal; keep their powers apart
@@ -102,6 +109,43 @@ def interaction_term(params: InteractionParams, omega: Configuration, n: int) ->
     return _rho_pow(params.rho, n - big_n)
 
 
+def _scan(values: tuple[int, ...], params: InteractionParams | None = None,
+          depth: int = 0) -> tuple[int | float, Prob | int, int]:
+    """One pass over the site values 0..hi of a configuration.
+
+    Returns (energy, past, worst).  energy is H_{<=depth} as a numerator over
+    the params' weight table (den in float mode is 1.0, so the same doubles
+    are added in the same site order); past is the exact sum, in rho's type,
+    of the terms with depth < 2n <= hi; worst is the largest k whose bad set
+    B_k is hit, 0 if none.  B_k (all 1s on floor(3k/2) .. 2k) is hit iff the
+    run of 1s ending at site 2k is at least 2k - floor(3k/2) + 1 long.
+    Without params, or without a 1 at site 0, every energy term vanishes;
+    depth must not pass params.m, the reach of the table.
+    """
+    energy, past, worst = 0, 0, 0
+    live = params is not None and values[0] == 1
+    if params is not None:
+        weight, _, past = params._weights
+        rho = params.rho
+    run = 1 if values and values[0] == 1 else 0
+    for i in range(1, len(values)):
+        if values[i] != 1:
+            run = 0
+            continue
+        run += 1
+        if i & 1:
+            continue
+        n = i >> 1
+        if run > 2 * n - 3 * n // 2:
+            worst = n
+        if live and run <= n:
+            if i <= depth:
+                energy += weight[n - run]
+            else:
+                past += _rho_pow(rho, n - run)
+    return energy, past, worst
+
+
 def hamiltonian(params: InteractionParams, omega: Configuration) -> Prob:
     """Truncated energy H_{<=m}(omega), summing terms with 2n <= m.
 
@@ -113,65 +157,21 @@ def hamiltonian(params: InteractionParams, omega: Configuration) -> Prob:
     if omega.tail is not Tail.ZERO_FILL and omega.window.hi < params.m:
         raise ValueError(
             f"omega must be defined through site {params.m} (or carry a zero-fill tail)")
-    zero = Fraction(0) if params.exact else 0.0
-    if omega.value_at(0) != 1:
-        return zero
-    h = zero
-    limit = min(params.m, omega.window.hi)
-    run = 0
-    for i in range(0, limit + 1):
-        run = run + 1 if omega.value_at(i) == 1 else 0
-        if i % 2 == 0 and run > 0:  # site holds a 1
-            n = i // 2
-            if run <= n:
-                h += _rho_pow(params.rho, n - run)
-    return h
+    energy, _, _ = _scan(omega.values[:params.m + 1], params, params.m)
+    return scaled_quotient(energy, params._weights[1])
 
 
-def _run_constraint_ok(omega: Configuration, n_prime: int) -> bool:
-    """No bad set B_k is hit for any k >= n_prime checkable within the window."""
-    for k in range(max(1, n_prime), omega.window.hi // 2 + 1):
-        if in_bad_set(omega, k):
-            return False
-    return True
+def _past_window(params: InteractionParams, bound: Prob, hi: int, depth: int,
+                 n_prime: int) -> Prob:
+    """bound plus a bound on the terms past site hi of an unspecified tail.
 
-
-def hamiltonian_tail_bound(params: InteractionParams, omega: Configuration,
-                           n_prime: int) -> Prob:
-    """Upper bound on the energy past the truncation depth, H - H_{<=m}.
-
-    Terms still inside omega's window are summed exactly.  Past the window a
-    zero-fill tail contributes nothing; an unspecified tail is bounded through
-    the run constraint: outside every bad set B_k with k >= n_prime, the run
-    ending at 2k has length at most ceil(k/2), so U(2k) <= rho^floor(k/2),
-    which sums geometrically.  (Terms before n_prime, if any, are bounded by 1.)
+    Outside every bad set B_k with k >= n_prime, the run ending at 2k has
+    length at most ceil(k/2), so U(2k) <= rho^floor(k/2), which sums
+    geometrically; terms before n_prime, if any, are bounded by 1.  Terms at
+    2n <= depth belong to the truncated energy and are not counted.
     """
-    if omega.window.lo != 0:
-        raise ValueError("tail bound needs a configuration starting at site 0")
-    if n_prime < 1:
-        raise ValueError("n_prime must be >= 1")
-    if not _run_constraint_ok(omega, n_prime):
-        raise ValueError(f"run constraint violated inside the window for some k >= {n_prime}")
-    zero = Fraction(0) if params.exact else 0.0
-    if omega.value_at(0) != 1:
-        return zero
     rho = params.rho
-    hi = omega.window.hi
-    p_start = params.m // 2 + 1
-    # exact part: window terms past the truncation depth
-    bound = zero
-    run = 0
-    for i in range(0, hi + 1):
-        run = run + 1 if omega.value_at(i) == 1 else 0
-        if i % 2 == 0 and i > params.m and run > 0:
-            n = i // 2
-            if run <= n:
-                bound += _rho_pow(rho, n - run)
-    if omega.tail is Tail.ZERO_FILL:
-        return bound
-    # unknown part past the window
-    q0 = hi // 2 + 1
-    q = max(q0, p_start)
+    q = max(hi // 2 + 1, depth // 2 + 1)
     if n_prime > q:
         bound += (n_prime - q) * (Fraction(1) if params.exact else 1.0)
         q = n_prime
@@ -182,6 +182,27 @@ def hamiltonian_tail_bound(params: InteractionParams, omega: Configuration,
     else:
         geo = _rho_pow(rho, a0) + 2 * _rho_pow(rho, a0 + 1) / (1 - rho)
     return bound + geo
+
+
+def hamiltonian_tail_bound(params: InteractionParams, omega: Configuration,
+                           n_prime: int) -> Prob:
+    """Upper bound on the energy past the truncation depth, H - H_{<=m}.
+
+    Terms still inside omega's window are summed exactly.  Past the window a
+    zero-fill tail contributes nothing; an unspecified tail is bounded through
+    the run constraint (see _past_window), which must hold inside the window:
+    no bad set B_k with k >= n_prime may be hit there.
+    """
+    if omega.window.lo != 0:
+        raise ValueError("tail bound needs a configuration starting at site 0")
+    if n_prime < 1:
+        raise ValueError("n_prime must be >= 1")
+    _, past, worst = _scan(omega.values, params, params.m)
+    if worst >= n_prime:
+        raise ValueError(f"run constraint violated inside the window for some k >= {n_prime}")
+    if omega.values[0] != 1 or omega.tail is Tail.ZERO_FILL:
+        return past
+    return _past_window(params, past, omega.window.hi, params.m, n_prime)
 
 
 @dataclass(frozen=True)
@@ -197,43 +218,47 @@ def _logistic(h: float) -> float:
     return 1.0 / (1.0 + math.exp(h))
 
 
-def _observed_correlation(omega: Configuration) -> int:
-    """1 + the largest k whose bad set B_k is hit inside the window."""
-    worst = 0
-    for k in range(1, omega.window.hi // 2 + 1):
-        if in_bad_set(omega, k):
-            worst = k
-    return worst + 1
+def _check_tail(tail: Configuration, name: str) -> None:
+    if tail.window.lo != 1:
+        raise ValueError(f"{name} must start at site 1")
+    if tail.alphabet != BINARY:
+        raise ValueError(f"{name} must be a binary configuration")
+
+
+def _kernel(params: InteractionParams, values: tuple[int, ...],
+            zero_fill: bool) -> tuple[float, float]:
+    """(gamma(1 | tail), radius) for values = (1,) + tail on sites 0..hi, from
+    one scan; gamma(0 | tail) is 1 - gamma(1 | tail) with the same radius.
+
+    The energy is computed through depth m; the tail bound brackets the rest,
+    and the radius is half the width of the resulting interval.  An
+    unspecified tail shorter than m is truncated at its last even site and
+    certified through the run constraint observed inside it: n' is 1 + the
+    last bad set hit, so the constraint holds by construction.
+    """
+    hi = len(values) - 1
+    depth = params.m if zero_fill or hi >= params.m else hi // 2 * 2
+    energy, past, worst = _scan(values, params, depth)
+    h = energy / params._weights[1]  # correctly rounded, as float(Fraction) is
+    tb = past if zero_fill else _past_window(params, past, hi, depth, worst + 1)
+    g_hi = _logistic(h)
+    g_lo = _logistic(h + float(tb))
+    return (g_hi + g_lo) / 2.0, (g_hi - g_lo) / 2.0
 
 
 def single_site_kernel(params: InteractionParams, symbol: int,
                        tail: Configuration) -> KernelValue:
     """gamma(symbol | tail) for the site-0 kernel, with certified radius.
 
-    The energy of (1, tail) is computed through depth m; the tail bound brackets
-    the rest, and the radius is half the width of the resulting interval.  For
-    zero-fill tails contained in [0, m] the radius is exactly 0.  A tail that is
-    unspecified past its window gets truncated at the window edge and certified
-    through the run constraint observed inside it.
+    For zero-fill tails contained in [0, m] the radius is exactly 0.  A tail
+    that is unspecified past its window is certified through the run
+    constraint observed inside it (see _kernel).
     """
     if symbol not in (0, 1):
         raise ValueError("symbol must be 0 or 1")
-    if tail.window.lo != 1:
-        raise ValueError("tail must start at site 1")
-    one = config(BINARY, 0, (1,))
-    zeta = glue(one, None, tail)
-    if zeta.tail is not Tail.ZERO_FILL and zeta.window.hi < params.m:
-        params = InteractionParams(params.rho, zeta.window.hi // 2 * 2)
-    h = hamiltonian(params, zeta)
-    n_prime = _observed_correlation(zeta)
-    tb = hamiltonian_tail_bound(params, zeta, n_prime)
-    g_hi = _logistic(float(h))
-    g_lo = _logistic(float(h) + float(tb))
-    value1 = (g_hi + g_lo) / 2.0
-    radius = (g_hi - g_lo) / 2.0
-    if symbol == 1:
-        return KernelValue(value1, radius)
-    return KernelValue(1.0 - value1, radius)
+    _check_tail(tail, "tail")
+    value1, radius = _kernel(params, (1,) + tail.values, tail.tail is Tail.ZERO_FILL)
+    return KernelValue(value1 if symbol == 1 else 1.0 - value1, radius)
 
 
 class FiniteVolumeMeasure(MeasureProvider):
@@ -339,11 +364,9 @@ def correlation_length(omega: Configuration) -> int:
     """
     if omega.tail is not Tail.ZERO_FILL:
         raise ValueError("correlation length needs a zero-fill tail")
-    worst = 0
-    for k in range(1, omega.window.hi // 2 + 1):
-        if in_bad_set(omega, k):
-            worst = k
-    return worst + 1
+    lo = omega.window.lo  # sites 0..hi; those below the window hold 0
+    values = (0,) * lo + omega.values if lo >= 0 else omega.values[-lo:]
+    return _scan(values)[2] + 1
 
 
 @dataclass(frozen=True)
@@ -362,21 +385,21 @@ def glued_convergence_table(params: InteractionParams, omega: Configuration,
     certificate, so unspecified tails are rejected.
     """
     for c, name in ((omega, "omega"), (eta, "eta")):
-        if c.window.lo != 1:
-            raise ValueError(f"{name} must start at site 1")
+        _check_tail(c, name)
         if c.tail is not Tail.ZERO_FILL:
             raise ValueError(f"{name} must carry a zero-fill tail")
-    ref = {s: single_site_kernel(params, s, omega) for s in (0, 1)}
+    if any(n < 1 for n in n_list):
+        raise ValueError("glue points must be >= 1")
+    # omega[1..n] eta[n+1..) as values on sites 0..hi; trailing zeros of a
+    # zero-fill tail change nothing, so the glued tail needs no padding past eta
+    head = (1,) + omega.values + (0,) * (max(n_list, default=0) - len(omega.values))
+    ref1, ref_radius = _kernel(params, head, True)
     rows = []
     for n in n_list:
-        if n < 1:
-            raise ValueError("glue points must be >= 1")
-        glued = glue(omega.restrict(1, n), None,
-                     eta.restrict(n + 1, max(n + 1, eta.window.hi)))
-        cur = {s: single_site_kernel(params, s, glued) for s in (0, 1)}
-        diff = max(abs(cur[s].value - ref[s].value) for s in (0, 1))
-        radius = max(cur[s].radius + ref[s].radius for s in (0, 1))
-        rows.append(GluedRow(n, diff, radius))
+        cur1, cur_radius = _kernel(params, head[:n + 1] + eta.values[n:], True)
+        # sup over both symbols: gamma(0 | .) = 1.0 - gamma(1 | .) rounds on its own
+        diff = max(abs((1.0 - cur1) - (1.0 - ref1)), abs(cur1 - ref1))
+        rows.append(GluedRow(n, diff, cur_radius + ref_radius))
     return tuple(rows)
 
 
@@ -399,17 +422,14 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
     """
     if not 0 <= eps <= 2:
         raise ValueError("eps must lie in [0, 2]")
-    gen = rng.generator()
-    bits = gen.integers(0, 2, size=(samples, tail_depth))
-    ref = single_site_kernel(params, 1, omega)
-    prefix = omega.restrict(1, n)
-    hits = 0
-    for row in bits:
-        eta = config(BINARY, n + 1, tuple(int(b) for b in row), Tail.ZERO_FILL)
-        glued = glue(prefix, None, eta)
-        cur = single_site_kernel(params, 1, glued)
-        if abs(cur.value - ref.value) > eps:
-            hits += 1
+    _check_tail(omega, "omega")
+    if tail_depth < 1:
+        raise ValueError("tail_depth must be >= 1")
+    head = (1,) + omega.restrict(1, n).values
+    ref1, _ = _kernel(params, (1,) + omega.values, omega.tail is Tail.ZERO_FILL)
+    bits = rng.generator().integers(0, 2, size=(samples, tail_depth))
+    hits = sum(abs(_kernel(params, head + tuple(row), True)[0] - ref1) > eps
+               for row in bits.tolist())
     f = hits / samples
     return FractionEstimate(f, math.sqrt(f * (1 - f) / samples), samples)
 
@@ -433,24 +453,20 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
     prefix sits on [1, n].  This is the exact finite-volume envelope used to
     sandwich conditional probabilities of the volume-[0, m] measure.
     """
-    if prefix.window.lo != 1:
-        raise ValueError("prefix must start at site 1")
+    _check_tail(prefix, "prefix")
     n = prefix.window.hi
     if m < n:
         raise ValueError("volume must contain the prefix")
     if m - n > 24:
         raise EnumerationCapError(f"2^{m - n} tails is past the enumeration cap")
-    base = prefix if prefix.tail is Tail.ZERO_FILL else Configuration(
-        BINARY, prefix.window, prefix.values, Tail.ZERO_FILL)
-    ref = {s: single_site_kernel(params, s, base) for s in (0, 1)}
-    out = {s: 2 * ref[s].radius for s in (0, 1)}
+    head = (1,) + prefix.values
+    ref1, ref_radius = _kernel(params, head, True)  # the zero-filled prefix
+    ref0 = 1.0 - ref1
+    out0 = out1 = 2 * ref_radius
     for word in itertools.product((0, 1), repeat=m - n):
         if not word:
             continue  # empty tail: glued config equals the zero-filled prefix
-        eta = config(BINARY, n + 1, word, Tail.ZERO_FILL)
-        glued = glue(prefix.restrict(1, n), None, eta)
-        for s in (0, 1):
-            cur = single_site_kernel(params, s, glued)
-            out[s] = max(out[s], abs(cur.value - ref[s].value)
-                         + cur.radius + ref[s].radius)
-    return out
+        cur1, cur_radius = _kernel(params, head + word, True)
+        out0 = max(out0, abs((1.0 - cur1) - ref0) + cur_radius + ref_radius)
+        out1 = max(out1, abs(cur1 - ref1) + cur_radius + ref_radius)
+    return {0: out0, 1: out1}

@@ -357,6 +357,26 @@ def test_exact_and_float_twins_keep_their_own_arithmetic():
             assert cyl == want_cyl and block == want_block
 
 
+def test_float_matrices_are_built_once_per_instance(monkeypatch):
+    import gibbslab.bitshift as bs
+    builds = []
+
+    def counting(params, as_float=False):
+        builds.append(as_float)
+        return transition_matrices(params, as_float)
+
+    monkeypatch.setattr(bs, "transition_matrices", counting)
+    params = ChannelParams(2, 3, HALF, Fraction(1, 4))
+    for _ in range(2):
+        cylinder_log_prob(params, (0, 2, 2))
+        entropy_levels(params, 2)
+        smb_estimate(params, 3, 4, Rng(1))
+    assert builds == [True]
+    mats = params._float_matrices
+    assert not mats.flags.writeable
+    assert np.array_equal(mats, transition_matrices(params, as_float=True))
+
+
 def test_params_reject_non_finite_weights():
     with pytest.raises(ValueError, match="finite"):
         ChannelParams(2, 3, (math.nan, 0.5), 0.25)

@@ -248,6 +248,20 @@ def test_cap_exceeded_maps_to_exit_two(tmp_path, capsys):
     expect_error(capsys, ["bs-entropy", "--config", cfg], 2, "cap-exceeded")
 
 
+def test_entropy_cap_can_be_lowered_but_not_raised(tmp_path, capsys):
+    dest = tmp_path / "never.csv"
+    for experiment in ("levels", "bounds"):
+        high = write_cfg(tmp_path, "high.json", {**STD_CHANNEL, "experiment": experiment,
+                                                 "n_max": 2, "cap": 13})
+        rec = expect_error(capsys, ["bs-entropy", "--config", high, "--out", str(dest)],
+                           1, "invalid-config")
+        assert "13" in rec["message"]
+        assert not dest.exists()
+        low = write_cfg(tmp_path, "low.json", {**STD_CHANNEL, "experiment": experiment,
+                                               "n_max": 3, "cap": 2})
+        expect_error(capsys, ["bs-entropy", "--config", low], 2, "cap-exceeded")
+
+
 def test_numeric_failure_maps_to_exit_three(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         **STD_CHANNEL,

@@ -29,6 +29,7 @@ from gibbslab import (
     run_length,
     single_site_kernel,
 )
+from gibbslab.oracle import _brute_weight
 
 HALF = InteractionParams(Fraction(1, 2), 8)
 
@@ -392,19 +393,21 @@ def test_enumerated_radius_trivial_when_volume_equals_prefix():
 
 
 def test_enumerated_radius_matches_direct_loop():
-    prefix = binary_config("0100", lo=1)
     m = 8
-    got = kernel_radius_enumerated(HALF, prefix, m)
-    ref = {s: single_site_kernel(HALF, s, prefix) for s in (0, 1)}
-    want = {s: 0.0 for s in (0, 1)}
-    for word in itertools.product((0, 1), repeat=m - 4):
-        eta = config(BINARY, 5, word, tail=Tail.ZERO_FILL)
-        glued = binary_config(prefix.values + word, lo=1)
-        assert glued.values == (prefix.values + word)
-        for s in (0, 1):
-            cur = single_site_kernel(HALF, s, glued)
-            want[s] = max(want[s], abs(cur.value - ref[s].value))
-    assert got == want  # all radii vanish here, so the envelope is exact
+    cases = ((HALF, binary_config("0100", lo=1)),
+             (InteractionParams(0.3, 8), binary_config("0100", lo=1)),
+             (HALF, config(BINARY, 1, (0, 1, 1, 0), tail=Tail.UNSPECIFIED)))
+    for params, prefix in cases:
+        got = kernel_radius_enumerated(params, prefix, m)
+        base = binary_config(prefix.values, lo=1)  # the envelope is about the zero-filled prefix
+        ref = {s: single_site_kernel(params, s, base) for s in (0, 1)}
+        want = {s: 0.0 for s in (0, 1)}
+        for word in itertools.product((0, 1), repeat=m - 4):
+            glued = binary_config(prefix.values + word, lo=1)
+            for s in (0, 1):
+                cur = single_site_kernel(params, s, glued)
+                want[s] = max(want[s], abs(cur.value - ref[s].value))
+        assert got == want  # all radii vanish here, so the envelope is exact
 
 
 def test_enumerated_radius_validation():
@@ -430,3 +433,75 @@ def test_float_twin_terms_stay_float_after_exact_ones():
     twin = interaction_term(InteractionParams(0.5, 4), om, 2)
     assert exact == twin == Fraction(1, 2)
     assert type(exact) is Fraction and type(twin) is float
+
+
+# ------------------------------------------------------- one-pass kernel
+
+RHOS = st.one_of(
+    st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 8), st.integers(1, 8)),
+    st.floats(0.01, 0.99),
+)
+
+
+def _literal_correlation_length(omega):
+    """1 + the largest k whose bad set B_k (all 1s on floor(3k/2) .. 2k) is hit."""
+    worst = 0
+    for k in range(1, omega.window.hi + 1):
+        if all(omega.value_at(i) == 1 for i in range(3 * k // 2, 2 * k + 1)):
+            worst = k
+    return worst + 1
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rho=RHOS, half_m=st.integers(0, 20), data=st.data())
+def test_kernel_matches_the_brute_weight_inside_the_depth(rho, half_m, data):
+    params = InteractionParams(rho, 2 * half_m)
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=1,
+                                    max_size=max(1, params.m))))
+    tail = binary_config(bits, lo=1)
+    w = _brute_weight(params, (1,) + bits)
+    kv = single_site_kernel(params, 1, tail)
+    assert abs(kv.value - float(w / (1 + w))) < 1e-12
+    assert kv.radius == 0.0
+    assert correlation_length(tail) == _literal_correlation_length(tail)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rho=RHOS, half_m=st.integers(0, 20), data=st.data())
+def test_kernel_bracket_holds_every_zero_filled_extension(rho, half_m, data):
+    params = InteractionParams(rho, 2 * half_m)
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=30)))
+    kv = single_site_kernel(params, 1, config(BINARY, 1, bits, tail=Tail.UNSPECIFIED))
+    n_prime = correlation_length(binary_config(bits, lo=1))
+    for _ in range(4):
+        ext = tuple(data.draw(st.lists(st.integers(0, 1), max_size=40)))
+        full = binary_config(bits + ext, lo=1)
+        if correlation_length(full) > n_prime:
+            continue  # a bad set hit past the window: the run constraint claims nothing
+        cur = single_site_kernel(params, 1, full)
+        assert kv.value - kv.radius - 1e-15 <= cur.value - cur.radius
+        assert cur.value + cur.radius <= kv.value + kv.radius + 1e-15
+
+
+def _kernel_results(params):
+    tails = (binary_config("0100110001", lo=1),
+             config(BINARY, 1, (0, 1, 0, 0, 1), tail=Tail.UNSPECIFIED),
+             binary_config("01" * 30, lo=1))  # runs past the depth of 40
+    kernels = [single_site_kernel(params, s, t) for t in tails for s in (0, 1)]
+    energy = hamiltonian(params, binary_config("1" + "0110" * 10))
+    rows = glued_convergence_table(params, tails[0], tails[2], [1, 3, 8, 45])
+    return ([(k.value.hex(), k.radius.hex()) for k in kernels], energy, type(energy),
+            [(r.n, r.sup_diff.hex(), r.radius.hex()) for r in rows])
+
+
+def test_kernel_twins_keep_their_own_weight_tables():
+    # rho = 1/2 and 0.5 compare and hash equal; the weight table lives on the instance
+    fresh = {True: _kernel_results(InteractionParams(Fraction(1, 2), 40)),
+             False: _kernel_results(InteractionParams(0.5, 40))}
+    assert fresh[True][2] is Fraction and fresh[False][2] is float
+    for order in ((True, False), (False, True)):
+        exact = InteractionParams(Fraction(1, 2), 40)
+        twin = InteractionParams(0.5, 40)
+        assert exact == twin and hash(exact) == hash(twin)
+        for is_exact in order:
+            assert _kernel_results(exact if is_exact else twin) == fresh[is_exact]
