@@ -42,7 +42,7 @@ from .core import (
 
 JITTER = (-1, 0, 1)
 BLOCK_ENTROPY_CAP = 12
-BLOCK_ROWS = 200_000  # rows per numpy block in the entropy sweep
+BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
 
 
 @dataclass(frozen=True)
@@ -182,18 +182,22 @@ def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
 
 
 def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
-    """log of the cylinder probability, accumulated with per-step rescaling."""
+    """log of the cylinder probability, accumulated with per-step rescaling.
+
+    Runs the forward recursion of cylinder_prob, dividing the vector by its
+    sum z after each step (after the first step it holds floats) and adding
+    log z, so long words do not underflow; the integer scale of an exact
+    model comes off at the end as log den0 + n log den."""
     word = _check_word(params, y)
-    mats = params._float_matrices
-    alpha = np.array([float(v) for v in params.stationary_vector()])
-    out = 0.0
+    alpha, mats, den0, den = params._forward_model
+    out = -math.log(den0) - len(word) * math.log(den)
     for v in word:
-        alpha = mats[v] @ alpha
-        z = alpha.sum()
-        if z == 0.0:
+        alpha = _step(mats[v], alpha)
+        z = sum(alpha)
+        if z == 0:
             raise ZeroProbabilityError("inadmissible output word")
         out += math.log(z)
-        alpha /= z
+        alpha = (alpha[0] / z, alpha[1] / z, alpha[2] / z)
     return out
 
 
@@ -283,16 +287,29 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
     Requires 2 and 3 in the input alphabet.  The n * nu(0 | 2^n) column staying
     bounded is the non-Gibbs signature; the lower-bound comparison against
     n p2^(n-1) p3 eps^(n+1) is only meaningful for eps < 1/3.
+
+    The forward vectors of [2^n] and [0, 2^n] are stepped together, so the
+    table costs one step per row.  In float mode both are divided by the sum
+    of the first after each step; the conditional is their ratio, which stays
+    finite after the cylinder probabilities underflow.
     """
     if not (params.d <= 2 <= params.k and params.d <= 3 <= params.k):
         raise ValueError("table needs symbols 2 and 3 in the input alphabet")
+    run, mats, scale, den = params._forward_model
+    joint = _step(mats[0], run)
+    # run / scale and joint / (scale * den) are the forward vectors of the two words
     rows = []
     for n in range(1, n_max + 1):
-        run = (2,) * n
-        p_run = cylinder_prob(params, run)
-        p_joint = cylinder_prob(params, (0,) + run)
-        cond = p_joint / p_run
-        rows.append(BadConfigRow(n, p_joint, p_run, cond, n * cond))
+        run, joint = _step(mats[2], run), _step(mats[2], joint)
+        scale *= den
+        if not params.exact:
+            z = sum(run)
+            run, joint = tuple(a / z for a in run), tuple(a / z for a in joint)
+            scale /= z
+        s_run, s_joint = sum(run), sum(joint)
+        cond = scaled_quotient(s_joint, s_run * den)
+        rows.append(BadConfigRow(n, scaled_quotient(s_joint, scale * den),
+                                 scaled_quotient(s_run, scale), cond, n * cond))
     return tuple(rows)
 
 
@@ -320,37 +337,51 @@ def block_distribution(params: ChannelParams, n: int,
     return out
 
 
+def _neg_entropy_sum(w: np.ndarray) -> float:
+    """-sum of w log w over the entries of w, zeros contributing nothing."""
+    w = w[w > 0.0]
+    terms = np.log(w)
+    terms *= w
+    return -float(terms.sum())
+
+
 def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,
                    block_rows: int = BLOCK_ROWS) -> np.ndarray:
     """H_1 .. H_n for the word distribution started from forward vector init.
 
-    Level-by-level batched enumeration: rows are forward vectors of admissible
-    words, zero rows pruned, blocks split to bound memory.  Traversal order is
-    fixed, so float accumulation is reproducible.
+    Depth-first batched enumeration: rows are forward vectors of admissible
+    words.  Words up to length n - 2 are materialised, one matmul against the
+    stacked symbol matrices per chunk of rows, zero children pruned.  The
+    last two levels are never materialised: the weights of a row's one- and
+    two-symbol extensions are its products with the column sums C1 of each
+    M_y and C2 of each M_y2 M_y1; zero weights add nothing, so nothing is
+    pruned there.  Rows go through in chunks, so no product holds more than
+    3 * block_rows doubles (or one row's products, if those are more).
+    Traversal order is fixed, so float accumulation is reproducible.
     """
     acc = np.zeros(n)
     n_sym = mats.shape[0]
+    # step[s, 3y + t] = M_y[t, s]: rows @ step lays each row's children side by side
+    step = mats.transpose(2, 0, 1).reshape(3, 3 * n_sym)
+    # c1[s, y] and c2[s, n_sym * y1 + y2]: column s sums of M_y and M_y2 M_y1
+    c1 = mats.sum(axis=1).T
+    c2 = np.einsum("bts,asr->rab", mats, mats).reshape(3, n_sym * n_sym)
+    step_chunk = max(1, block_rows // n_sym)
+    tail_chunk = max(1, 3 * block_rows // (n_sym * n_sym))
 
     def sweep(rows: np.ndarray, level: int) -> None:
-        blocks = []
-        for y in range(n_sym):
-            b = rows @ mats[y].T
-            w = b.sum(axis=1)
-            keep = w > 0.0
-            if not keep.any():
-                continue
-            b = b[keep]
-            w = w[keep]
-            acc[level] += -(w * np.log(w)).sum()
-            blocks.append(b)
-        if level + 1 >= n or not blocks:
+        if level >= n - 2:
+            for start in range(0, rows.shape[0], tail_chunk):
+                part = rows[start:start + tail_chunk]
+                acc[level] += _neg_entropy_sum(part @ c1)
+                if level + 1 < n:
+                    acc[level + 1] += _neg_entropy_sum(part @ c2)
             return
-        nxt = np.vstack(blocks)
-        if nxt.shape[0] > block_rows:
-            for start in range(0, nxt.shape[0], block_rows):
-                sweep(nxt[start:start + block_rows], level + 1)
-        else:
-            sweep(nxt, level + 1)
+        for start in range(0, rows.shape[0], step_chunk):
+            children = (rows[start:start + step_chunk] @ step).reshape(-1, 3)
+            w = children.sum(axis=1)
+            acc[level] += _neg_entropy_sum(w)
+            sweep(children[w > 0.0], level + 1)
 
     sweep(init.reshape(1, 3), 0)
     return acc
@@ -368,9 +399,11 @@ def entropy_levels(params: ChannelParams, n: int, start: int | None = None,
     mats = params._float_matrices
     if start is None:
         init = np.array([float(v) for v in params.stationary_vector()])
-    else:
+    elif start in JITTER:
         init = np.zeros(3)
         init[JITTER.index(start)] = 1.0
+    else:
+        raise ValueError(f"start must be a jitter state -1, 0 or 1, got {start!r}")
     return _entropy_sweep(mats, init, n)
 
 

@@ -1,5 +1,6 @@
 """Jitter channel: forward recursion, admissibility, entropy machinery."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,10 +28,20 @@ from gibbslab import (
     simulate,
     smb_estimate,
 )
-from gibbslab.bitshift import transition_matrices
+from gibbslab.bitshift import JITTER, _entropy_sweep, transition_matrices
 from gibbslab.core import Configuration, Alphabet, binary_config
+from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
+
+STD_FLOAT = ChannelParams(2, 3, (0.5, 0.5), 0.25)  # float twin of std_channel
+
+# the two channels of the benchmark's entropy ops, and one without jitter
+SWEEP_CHANNELS = (
+    STD_FLOAT,
+    ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
+    ChannelParams(2, 3, (0.5, 0.5), 0.0),
+)
 
 
 def quiet_channel() -> ChannelParams:
@@ -145,6 +156,16 @@ def test_cylinder_word_validation(std_channel):
         cylinder_prob(std_channel, (6,))  # outputs stop at k+2 = 5
 
 
+def test_log_prob_of_long_words_tracks_rational_mode(std_channel):
+    # the probabilities underflow a double; their logs do not
+    for word in [(2,) * 800, (0,) + (2,) * 500, (2, 3, 4, 1) * 150]:
+        r = cylinder_prob(std_channel, word)
+        assert float(r) == 0.0
+        want = math.log(r.numerator) - math.log(r.denominator)
+        for params in (std_channel, STD_FLOAT):
+            assert abs(cylinder_log_prob(params, word) - want) <= 1e-12 * abs(want)
+
+
 def test_log_prob_matches_exact_values(std_channel):
     for word in [(2, 3, 2, 4), (0, 2, 2), (5, 2)]:
         exact = cylinder_prob(std_channel, word)
@@ -235,6 +256,52 @@ def test_entropy_started_from_a_fixed_jitter_state(std_channel):
         entropy_levels(std_channel, 13)
 
 
+def test_entropy_start_must_be_a_jitter_state(std_channel):
+    for bad in (2, -2, 0.5, "0"):
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            entropy_levels(std_channel, 3, start=bad)
+
+
+@pytest.mark.parametrize("params", SWEEP_CHANNELS)
+def test_entropy_levels_match_the_oracle(params):
+    want = [brute_block_entropy(params, n) for n in range(1, ORACLE_ENTROPY_CAP + 1)]
+    # n = 1 and n = 2 run only the column-sum tail, straight from the start vector
+    for n in (1, 2, ORACLE_ENTROPY_CAP):
+        assert np.allclose(entropy_levels(params, n), want[:n], rtol=0, atol=1e-12)
+
+
+def _pinned_entropy(params, n, start):
+    """H_n with the pre-window jitter fixed at start, by pushing forward every
+    input word and every jitter word after it."""
+    dist = {}
+    for x in itertools.product(params.input_symbols, repeat=n):
+        px = math.prod(float(params.p_of(v)) for v in x)
+        for omega in itertools.product(JITTER, repeat=n):
+            w = px * math.prod(float(params.jitter_weight(v)) for v in omega)
+            word = apply_channel(x, (start,) + omega)
+            dist[word] = dist.get(word, 0.0) + w
+    return -sum(w * math.log(w) for w in dist.values() if w > 0.0)
+
+
+@pytest.mark.parametrize("params", SWEEP_CHANNELS)
+def test_entropy_levels_from_a_start_state_match_preimage_enumeration(params):
+    for start in JITTER:
+        want = [_pinned_entropy(params, n, start) for n in range(1, 5)]
+        for n in (1, 2, 4):
+            assert np.allclose(entropy_levels(params, n, start=start), want[:n],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("params", SWEEP_CHANNELS[:2])
+def test_entropy_sweep_in_tiny_blocks_gives_the_default_levels(params):
+    mats = params._float_matrices
+    init = np.array([float(v) for v in params.stationary_vector()])
+    want = _entropy_sweep(mats, init, 6)
+    for block_rows in (1, 7, 50):
+        got = _entropy_sweep(mats, init, 6, block_rows=block_rows)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_block_entropy_is_the_last_level(std_channel):
     assert block_entropy(std_channel, 5) == float(entropy_levels(std_channel, 5)[4])
 
@@ -300,6 +367,17 @@ def test_bad_config_table_columns_and_closed_form(std_channel):
         assert r.conditional == r.p_joint / r.p_run
         assert r.scaled == r.n * r.conditional
     assert rows[0].conditional == Fraction(1, 80)
+
+
+def test_bad_config_table_float_tracks_rational_mode(std_channel):
+    exact = bad_config_table(std_channel, 60)
+    floats = bad_config_table(STD_FLOAT, 60)
+    for e, f in zip(exact, floats):
+        for name in ("p_joint", "p_run", "conditional", "scaled"):
+            want = float(getattr(e, name))
+            got = getattr(f, name)
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_bad_config_table_needs_small_symbols():
@@ -371,7 +449,9 @@ def test_float_matrices_are_built_once_per_instance(monkeypatch):
         cylinder_log_prob(params, (0, 2, 2))
         entropy_levels(params, 2)
         smb_estimate(params, 3, 4, Rng(1))
-    assert builds == [True]
+    # one float build for the numpy paths, one exact build for the forward
+    # model that cylinder_log_prob runs on
+    assert sorted(builds) == [False, True]
     mats = params._float_matrices
     assert not mats.flags.writeable
     assert np.array_equal(mats, transition_matrices(params, as_float=True))

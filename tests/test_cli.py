@@ -1,6 +1,7 @@
 """Command-line driver: schemas, exit codes, determinism, formatting."""
 
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,19 @@ def test_badconfig_csv_has_metadata_and_exact_fractions(tmp_path, capsys):
     assert header == "n,nu_0_2n,nu_2n,cond,n_times_cond"
     assert "1/256" in out  # nu([0,2]) lands in the n=1 row
     assert "1/80" in out
+
+
+def test_badconfig_float_survives_underflowing_cylinders(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"d": 2, "k": 3, "p": [0.5, 0.5], "eps": 0.25, "n_max": 700})
+    code, out, err = invoke(capsys, ["bs-badconfig", "--config", cfg, "--mode", "float"])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()
+            if line and not line.startswith("#")][1:]
+    assert [int(r[0]) for r in rows] == list(range(1, 701))
+    assert float(rows[-1][2]) == 0.0  # nu([2^700]) itself underflows
+    conds = [float(r[3]) for r in rows]
+    assert all(math.isfinite(c) and c > 0 for c in conds)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
