@@ -9,9 +9,13 @@ against the jitter distribution, which makes the output law stationary.
 The output word "00" is forbidden: y_i = 0 forces x_i = d, w_i = -1 and
 w_{i-1} = +1 (for d = 2), and two consecutive forced jitters contradict.
 More interestingly, the run [0, 2, 2, ..., 2] has exactly one preimage chain,
-so its probability is a pure power while [2, ..., 2] has polynomially many
-preimages: the conditional of 0 given 2^n decays like 1/n, too slowly for any
-Bowen-type envelope.
+so its probability is a pure power, eps (p2 eps)^(n+1), while a jitter chain
+under [2, ..., 2] can only step down, from +1 towards -1, each step spending
+an input above 2.  For eps < 1/3 the all-zero chain, weight (p2 (1 - 2 eps))^n,
+outweighs the rest, and the conditional of 0 given 2^n decays exponentially,
+by a factor eps / (1 - 2 eps) per symbol.  For eps > 1/3 about n chains of
+order (p2 eps)^n carry [2^n], and the conditional decays only like 1/n, too
+slowly for any Bowen-type envelope.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .core import (
     ZeroProbabilityError,
     as_prob,
     check_finite,
+    check_weight_vector,
     format_prob,
     integer_scaled,
     is_exact,
@@ -63,16 +68,8 @@ class ChannelParams:
         object.__setattr__(self, "eps", as_prob(self.eps))
         if len(self.p) != self.k - self.d + 1:
             raise ValueError(f"need {self.k - self.d + 1} input weights")
-        check_finite(self.p + (self.eps,), "channel weights")
-        for w in self.p:
-            if w < 0:
-                raise ValueError("negative input weight")
-        total = sum(self.p)
-        if self.exact:
-            if total != 1:
-                raise ValueError(f"input weights sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"input weights sum to {float(total)}, expected 1")
+        check_weight_vector(self.p, "input weights")
+        check_finite((self.eps,), "eps")
         if not (0 <= self.eps < Fraction(1, 2)):
             raise ValueError("eps must lie in [0, 1/2)")
 
@@ -119,13 +116,18 @@ class ChannelParams:
                 den0, den)
 
     @cached_property
-    def _float_matrices(self) -> np.ndarray:
-        """transition_matrices(self, as_float=True), built once per instance
-        (kept on the instance for the same reason as _forward_model) and
-        read-only, since every caller shares it."""
-        mats = transition_matrices(self, as_float=True)
-        mats.flags.writeable = False
-        return mats
+    def _float_model(self) -> tuple[np.ndarray, np.ndarray]:
+        """(init, mats) of _forward_model as read-only float arrays of shape
+        (3,) and (n_sym, 3, 3), for the numpy paths; every caller shares them.
+        Each entry is num / den on the model's own numbers: int / int rounds
+        once, so an exact model gives float() of each Fraction entry, and a
+        float model its own entries."""
+        init, mats, den0, den = self._forward_model
+        model = (np.array([v / den0 for v in init]),
+                 np.array([[v / den for v in m] for m in mats]).reshape(-1, 3, 3))
+        for a in model:
+            a.flags.writeable = False
+        return model
 
 
 def apply_channel(x: Sequence[int], omega: Sequence[int]) -> tuple[int, ...]:
@@ -139,18 +141,11 @@ def apply_channel(x: Sequence[int], omega: Sequence[int]) -> tuple[int, ...]:
     return tuple(x[i] + omega[i + 1] - omega[i] for i in range(len(x)))
 
 
-def transition_matrices(params: ChannelParams, as_float: bool = False):
+def transition_matrices(params: ChannelParams) -> dict[int, list[list[Prob]]]:
     """mats[y][t][s] = P(jitter = t) * P(input = y - t + s); states ordered -1,0,1."""
-    mats = {}
-    for y in params.output_symbols:
-        mats[y] = [[params.jitter_weight(t) * params.p_of(y - t + s)
-                    for s in JITTER] for t in JITTER]
-    if as_float:
-        out = np.zeros((len(params.output_symbols), 3, 3))
-        for y in params.output_symbols:
-            out[y] = [[float(v) for v in row] for row in mats[y]]
-        return out
-    return mats
+    return {y: [[params.jitter_weight(t) * params.p_of(y - t + s) for s in JITTER]
+                for t in JITTER]
+            for y in params.output_symbols}
 
 
 def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
@@ -284,9 +279,11 @@ class BadConfigRow:
 def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, ...]:
     """Decay table for the conditional nu(0 | 2^n).
 
-    Requires 2 and 3 in the input alphabet.  The n * nu(0 | 2^n) column staying
-    bounded is the non-Gibbs signature; the lower-bound comparison against
-    n p2^(n-1) p3 eps^(n+1) is only meaningful for eps < 1/3.
+    Requires 2 and 3 in the input alphabet.  For eps > 1/3 the n * nu(0 | 2^n)
+    column stays bounded away from 0, the non-Gibbs signature, and
+    nu([2^n]) has the order of its lower bound n p2^(n-1) p3 eps^(n+1).  For
+    eps < 1/3 the conditional decays exponentially, by a factor of about
+    eps / (1 - 2 eps) per row, and the column goes to 0.
 
     The forward vectors of [2^n] and [0, 2^n] are stepped together, so the
     table costs one step per row.  In float mode both are divided by the sum
@@ -387,23 +384,16 @@ def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,
     return acc
 
 
-def entropy_levels(params: ChannelParams, n: int, start: int | None = None,
+def entropy_levels(params: ChannelParams, n: int,
                    cap: int = BLOCK_ENTROPY_CAP) -> np.ndarray:
-    """Block entropies H_1..H_n in nats; start fixes the pre-window jitter state."""
+    """Block entropies H_1..H_n of the stationary output law, in nats."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise EnumerationCapError(
             f"block entropy at n={n} exceeds cap {cap} "
             f"(cost grows like admissible words ~ 5^n)")
-    mats = params._float_matrices
-    if start is None:
-        init = np.array([float(v) for v in params.stationary_vector()])
-    elif start in JITTER:
-        init = np.zeros(3)
-        init[JITTER.index(start)] = 1.0
-    else:
-        raise ValueError(f"start must be a jitter state -1, 0 or 1, got {start!r}")
+    init, mats = params._float_model
     return _entropy_sweep(mats, init, n)
 
 
@@ -420,23 +410,22 @@ class EntropyBoundsRow:
 
 def entropy_bound_table(params: ChannelParams, n_max: int,
                         cap: int = BLOCK_ENTROPY_CAP) -> tuple[EntropyBoundsRow, ...]:
-    """Conditional-entropy bounds bracketing the entropy rate.
+    """Conditional-entropy bounds bracketing the entropy rate (Cover & Thomas,
+    Thm 4.5.1), from two sweeps.
 
     upper(n) = H_n - H_{n-1} is nonincreasing and >= h; conditioning on the
-    pre-window jitter state severs the past, so lower(n), the jitter-averaged
-    H(Y_n | Y_1..Y_{n-1}, state), is nondecreasing and <= h.
+    pre-window jitter state S severs the past, so lower(n), the jitter-averaged
+    H(Y_n | Y_1..Y_{n-1}, S), is nondecreasing and <= h.  One sweep started
+    in state 0 gives the average: from state s the first output is
+    x_1 + w_1 - s, so s only shifts the first symbol by -s, a bijection on
+    words, and H(Y_1..Y_n | S = s) is the same for every s.
     """
     levels = entropy_levels(params, n_max, cap=cap)
-    weighted = np.zeros(n_max)
-    for s in JITTER:
-        w = float(params.jitter_weight(s))
-        if w == 0.0:
-            continue
-        weighted += w * entropy_levels(params, n_max, start=s, cap=cap)
+    pinned = _entropy_sweep(params._float_model[1], np.array([0.0, 1.0, 0.0]), n_max)
     rows = []
     for n in range(1, n_max + 1):
         upper = levels[n - 1] - (levels[n - 2] if n > 1 else 0.0)
-        lower = weighted[n - 1] - (weighted[n - 2] if n > 1 else 0.0)
+        lower = pinned[n - 1] - (pinned[n - 2] if n > 1 else 0.0)
         rows.append(EntropyBoundsRow(n, float(lower), float(upper)))
     return tuple(rows)
 
@@ -460,8 +449,7 @@ def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEs
     simulated words.  Samples are drawn in deterministic per-task batches."""
     if n < 1 or samples < 2:
         raise ValueError("need n >= 1 and samples >= 2")
-    mats = params._float_matrices
-    init = np.array([float(v) for v in params.stationary_vector()])
+    init, mats = params._float_model
     batch = 2048
     vals = []
     for task, start in enumerate(range(0, samples, batch)):

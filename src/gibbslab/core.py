@@ -64,6 +64,19 @@ def check_finite(values: Iterable[Prob], what: str) -> None:
             raise ValueError(f"{what} must be finite, got {v!r}")
 
 
+def check_weight_vector(weights: Sequence[Prob], what: str) -> None:
+    """Reject a weight vector that is not a probability vector: an entry that
+    is not finite or is negative, or a total other than 1 (exactly when every
+    entry is exact, within FLOAT_TOL otherwise)."""
+    check_finite(weights, what)
+    for w in weights:
+        if w < 0:
+            raise ValueError(f"{what} must be non-negative, got {w!r}")
+    total = sum(weights)  # exact only when every entry is
+    if total != 1 if is_exact(total) else abs(total - 1.0) > FLOAT_TOL:
+        raise ValueError(f"{what} sum to {total}, expected 1")
+
+
 def integer_scaled(values: Sequence[Prob], exact: bool) -> tuple[list, int | float]:
     """(nums, den) with nums[i] / den == values[i], for forward recursions.
 
@@ -319,20 +332,10 @@ class BernoulliMeasure(MeasureProvider):
         if len(weights) != len(alphabet):
             raise ValueError("one weight per symbol required")
         ws = [as_prob(w) for w in weights]
-        check_finite(ws, "weights")
-        for w in ws:
-            if w < 0:
-                raise ValueError("negative weight")
-        exact = all(is_exact(w) for w in ws)
-        total = sum(ws)
-        if exact:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > FLOAT_TOL:
-            raise ValueError(f"weights sum to {float(total)}, expected 1")
+        check_weight_vector(ws, "weights")
         self.alphabet = alphabet
         self.weights = {s: w for s, w in zip(alphabet.symbols, ws)}
-        self.exact = exact
+        self.exact = all(is_exact(w) for w in ws)
         self.stationary = True
         self.label = label or f"bernoulli{tuple(format_prob(w) for w in ws)}"
 

@@ -99,9 +99,6 @@ def test_transition_matrices_entries(std_channel):
     mats = transition_matrices(std_channel)
     # y=2, jitter t=0, previous state s=0: P(w=0) * P(x=2) = 1/2 * 1/2
     assert mats[2][1][1] == Fraction(1, 4)
-    arr = transition_matrices(std_channel, as_float=True)
-    assert arr.shape == (6, 3, 3)
-    assert arr[2][1][1] == 0.25
 
 
 # ------------------------------------------------------------- cylinders
@@ -246,20 +243,10 @@ def test_entropy_levels_monotone_and_subadditive(std_channel):
 
 
 def test_entropy_started_from_a_fixed_jitter_state(std_channel):
-    pinned = entropy_levels(std_channel, 4, start=0)
-    free = entropy_levels(std_channel, 4)
-    assert pinned.shape == (4,)
-    assert not np.allclose(pinned, free)
     with pytest.raises(ValueError):
         entropy_levels(std_channel, 0)
     with pytest.raises(EnumerationCapError):
         entropy_levels(std_channel, 13)
-
-
-def test_entropy_start_must_be_a_jitter_state(std_channel):
-    for bad in (2, -2, 0.5, "0"):
-        with pytest.raises(ValueError, match="-1, 0 or 1"):
-            entropy_levels(std_channel, 3, start=bad)
 
 
 @pytest.mark.parametrize("params", SWEEP_CHANNELS)
@@ -284,18 +271,17 @@ def _pinned_entropy(params, n, start):
 
 
 @pytest.mark.parametrize("params", SWEEP_CHANNELS)
-def test_entropy_levels_from_a_start_state_match_preimage_enumeration(params):
-    for start in JITTER:
-        want = [_pinned_entropy(params, n, start) for n in range(1, 5)]
-        for n in (1, 2, 4):
-            assert np.allclose(entropy_levels(params, n, start=start), want[:n],
-                               rtol=0, atol=1e-12)
+def test_lower_bounds_sum_to_the_entropy_from_every_start_state(params):
+    # the table sweeps from state 0 only; every start state must give its sums
+    for n in (1, 2, 4):
+        got = sum(r.lower for r in entropy_bound_table(params, n))
+        for start in JITTER:
+            assert abs(got - _pinned_entropy(params, n, start)) <= 1e-12
 
 
 @pytest.mark.parametrize("params", SWEEP_CHANNELS[:2])
 def test_entropy_sweep_in_tiny_blocks_gives_the_default_levels(params):
-    mats = params._float_matrices
-    init = np.array([float(v) for v in params.stationary_vector()])
+    init, mats = params._float_model
     want = _entropy_sweep(mats, init, 6)
     for block_rows in (1, 7, 50):
         got = _entropy_sweep(mats, init, 6, block_rows=block_rows)
@@ -380,6 +366,18 @@ def test_bad_config_table_float_tracks_rational_mode(std_channel):
             assert abs(got - want) <= 1e-12 * want
 
 
+def test_bad_config_conditional_decays_exponentially_only_below_eps_one_third():
+    # eps = 1/4: each row multiplies nu(0 | 2^n) by about eps / (1 - 2 eps) = 1/2
+    rows = bad_config_table(ChannelParams(2, 3, HALF, Fraction(1, 4)), 41)
+    for a, b in zip(rows[19:], rows[20:]):  # a.n = 20 .. 40
+        assert 0.49 <= b.conditional / a.conditional <= 0.51
+    # eps = 2/5: n * nu(0 | 2^n) levels off, so the conditional decays like 1/n
+    rows = bad_config_table(ChannelParams(2, 3, HALF, Fraction(2, 5)), 41)
+    for a, b in zip(rows[19:], rows[20:]):
+        assert 0.15 <= a.scaled <= 0.25
+        assert b.conditional / a.conditional > 0.9
+
+
 def test_bad_config_table_needs_small_symbols():
     wide = ChannelParams(4, 6, (Fraction(1, 3),) * 3, Fraction(1, 4))
     with pytest.raises(ValueError):
@@ -439,22 +437,40 @@ def test_float_matrices_are_built_once_per_instance(monkeypatch):
     import gibbslab.bitshift as bs
     builds = []
 
-    def counting(params, as_float=False):
-        builds.append(as_float)
-        return transition_matrices(params, as_float)
+    def counting(params):
+        builds.append(params)
+        return transition_matrices(params)
 
     monkeypatch.setattr(bs, "transition_matrices", counting)
     params = ChannelParams(2, 3, HALF, Fraction(1, 4))
     for _ in range(2):
+        cylinder_prob(params, (0, 2, 2))
         cylinder_log_prob(params, (0, 2, 2))
         entropy_levels(params, 2)
+        entropy_bound_table(params, 3)
         smb_estimate(params, 3, 4, Rng(1))
-    # one float build for the numpy paths, one exact build for the forward
-    # model that cylinder_log_prob runs on
-    assert sorted(builds) == [False, True]
-    mats = params._float_matrices
-    assert not mats.flags.writeable
-    assert np.array_equal(mats, transition_matrices(params, as_float=True))
+    # the float model is derived from the forward model, not built again
+    assert builds == [params]
+
+
+@pytest.mark.parametrize("params", SWEEP_CHANNELS + (
+    ChannelParams(2, 3, HALF, Fraction(1, 4)),
+    # numerators past 2**53, where float(num) / den would round twice
+    ChannelParams(2, 3, (Fraction(258793550909, 2111381949380),
+                         Fraction(1852588398471, 2111381949380)),
+                  Fraction(835351532924, 3000000000057)),
+    ChannelParams(3, 6, (0.1, 0.2, 0.3, 0.4), 0.3),
+))
+def test_float_model_is_read_only_and_rounds_each_entry_once(params):
+    init, mats = params._float_model
+    assert not init.flags.writeable and not mats.flags.writeable
+    want_init = np.array([float(v) for v in params.stationary_vector()])
+    entries = transition_matrices(params)
+    want_mats = np.array([[[float(v) for v in row] for row in entries[y]]
+                          for y in params.output_symbols])
+    assert init.tobytes() == want_init.tobytes()
+    assert mats.shape == want_mats.shape
+    assert mats.tobytes() == want_mats.tobytes()
 
 
 def test_params_reject_non_finite_weights():

@@ -10,6 +10,7 @@ from gibbslab import (
     BINARY,
     Alphabet,
     BernoulliMeasure,
+    ChannelParams,
     Rng,
     Tail,
     Window,
@@ -177,6 +178,19 @@ def test_bernoulli_rejects_bad_weight_vectors():
         BernoulliMeasure(BINARY, (Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError):
         BernoulliMeasure(BINARY, (Fraction(1, 2),))
+
+
+def test_weight_vector_check_is_shared_and_names_the_callers_weights():
+    bad = {"must be finite": (math.nan, 0.5), "sum to": (0.5, 0.5 + 1e-11),
+           "must be non-negative": (Fraction(3, 2), Fraction(-1, 2))}
+    for words, ws in bad.items():
+        with pytest.raises(ValueError, match=f"^weights {words}"):
+            BernoulliMeasure(BINARY, ws)
+        with pytest.raises(ValueError, match=f"^input weights {words}"):
+            ChannelParams(2, 3, ws, 0.25)
+    for ok in ((Fraction(1, 3), Fraction(2, 3)), (0.1 + 0.2, 0.7)):
+        BernoulliMeasure(BINARY, ok)
+        ChannelParams(2, 3, ok, Fraction(1, 4))
 
 
 def test_bernoulli_allows_zero_weight_but_log_raises():
