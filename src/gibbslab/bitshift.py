@@ -35,6 +35,7 @@ from .core import (
     MeasureProvider,
     Prob,
     Rng,
+    Window,
     ZeroProbabilityError,
     as_prob,
     check_finite,
@@ -42,7 +43,9 @@ from .core import (
     format_prob,
     integer_scaled,
     is_exact,
+    prefix_walk,
     scaled_quotient,
+    scaled_quotients,
 )
 
 JITTER = (-1, 0, 1)
@@ -266,6 +269,12 @@ class BitShiftMeasure(MeasureProvider):
         self.check_config(cfg)
         return cylinder_log_prob(self.params, cfg.values)
 
+    def _scaled(self, window: Window) -> tuple[dict, int | float]:
+        """Forward numerators of the admissible words; every other word is
+        listed with numerator 0."""
+        nums, den = _admissible_numerators(self.params, window.size)
+        return {w: nums.get(w, 0) for w in self.words(window)}, den
+
 
 @dataclass(frozen=True)
 class BadConfigRow:
@@ -310,6 +319,22 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
     return tuple(rows)
 
 
+def _admissible_numerators(params: ChannelParams, n: int
+                           ) -> tuple[dict[tuple[int, ...], int | float], int | float]:
+    """(nums, den) over the admissible length-n output words, lexicographic:
+    each word's forward-vector sum over the common denominator of
+    cylinder_prob, from one walk that shares each prefix's forward vector and
+    drops a prefix once its vector is zero."""
+    init, mats, den0, den = params._forward_model
+
+    def step(alpha, i, y):
+        nxt = _step(mats[y], alpha)
+        return nxt if nxt != (0, 0, 0) else None
+
+    return ({w: sum(alpha) for w, alpha in prefix_walk(params.output_symbols, n, init, step)},
+            den0 * den ** n)
+
+
 def block_distribution(params: ChannelParams, n: int,
                        cap: int = 8) -> dict[tuple[int, ...], Prob]:
     """Exact distribution over admissible length-n output words (DFS, pruned)."""
@@ -317,21 +342,7 @@ def block_distribution(params: ChannelParams, n: int,
         raise ValueError("n must be >= 1")
     if n > cap:
         raise EnumerationCapError(f"block distribution capped at n <= {cap}")
-    init, mats, den0, den = params._forward_model
-    scale = den0 * den ** n
-    out: dict[tuple[int, ...], Prob] = {}
-
-    def walk(prefix: tuple[int, ...], alpha) -> None:
-        if len(prefix) == n:
-            out[prefix] = scaled_quotient(sum(alpha), scale)
-            return
-        for y in params.output_symbols:
-            nxt = _step(mats[y], alpha)
-            if any(v != 0 for v in nxt):
-                walk(prefix + (y,), nxt)
-
-    walk((), init)
-    return out
+    return scaled_quotients(*_admissible_numerators(params, n))
 
 
 def _neg_entropy_sum(w: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 Probabilities travel in one of two modes.  Rational mode hands out
 `fractions.Fraction`s (forward recursions step integer numerators over a
-common denominator inside, see `integer_scaled`), so marginalization
+common denominator inside, see `integer_scaled`, and whole-window
+distributions share each prefix's step, see `prefix_walk`), so marginalization
 identities hold exactly and tests can compare with `==`.  Float mode uses
 IEEE doubles; long products go through log space.  Mode is carried by the
 values themselves (Fraction vs float), not by a global switch.
@@ -10,6 +11,7 @@ values themselves (Fraction vs float), not by a global switch.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,6 +99,27 @@ def scaled_quotient(num: int | float, den: int | float) -> Prob:
     """num / den for sums over integer_scaled weights: one lowest-terms
     Fraction for an int den, a float division otherwise."""
     return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+def scaled_quotients(nums: Mapping, den: int | float) -> dict:
+    """scaled_quotient of every value of nums over one den, keys kept."""
+    if isinstance(den, int):
+        return {k: Fraction(v, den) for k, v in nums.items()}
+    return {k: v / den for k, v in nums.items()}
+
+
+def prefix_walk(symbols: Sequence[int], n: int, start,
+                step) -> list[tuple[tuple[int, ...], object]]:
+    """(word, state) for the words of length n over symbols, in lexicographic
+    order, where a word's state is step(...step(start, 0, w[0])..., n - 1,
+    w[n - 1]).  The walk goes one site at a time, so each prefix's state is
+    computed once and shared by every word that extends it.  A step that
+    returns None drops that prefix and all its extensions."""
+    level = [((), start)]
+    for i in range(n):
+        level = [(word + (s,), nxt) for word, state in level for s in symbols
+                 if (nxt := step(state, i, s)) is not None]
+    return level
 
 
 def format_prob(x: Prob) -> str:
@@ -280,8 +303,9 @@ class MeasureProvider:
     """Exact cylinder-probability source.
 
     Subclasses answer `prob` for any legal cylinder, in the arithmetic their
-    parameters were given in.  `stationary` providers accept cylinders at any
-    location; others expose `support_window`.
+    parameters were given in, and `_scaled` for whole windows.  `stationary`
+    providers accept cylinders at any location; others expose
+    `support_window`.
     """
 
     alphabet: Alphabet
@@ -292,33 +316,46 @@ class MeasureProvider:
     def prob(self, cfg: Configuration) -> Prob:
         raise NotImplementedError
 
+    def _scaled(self, window: Window) -> tuple[dict, int | float]:
+        """(nums, den): every word on the window, lexicographic, mapped to the
+        numerator of its probability over one common denominator.  Exact
+        providers give ints over an int den; the others give values whose
+        quotient by den is the float `prob` returns for that word."""
+        raise NotImplementedError
+
     def log_prob(self, cfg: Configuration) -> float:
         p = self.prob(cfg)
         if p == 0:
             raise ZeroProbabilityError(f"{self.label}: zero-probability cylinder")
         return math.log(p)
 
+    def check_window(self, window: Window) -> None:
+        if self.support_window is not None and not self.support_window.contains_window(window):
+            raise ValueError(
+                f"{self.label}: window [{window.lo},{window.hi}] outside "
+                f"supported [{self.support_window.lo},{self.support_window.hi}]")
+
     def check_config(self, cfg: Configuration) -> None:
         if cfg.alphabet != self.alphabet:
             raise ValueError(f"{self.label}: alphabet mismatch")
-        if self.support_window is not None and not self.support_window.contains_window(cfg.window):
-            raise ValueError(
-                f"{self.label}: window [{cfg.window.lo},{cfg.window.hi}] outside "
-                f"supported [{self.support_window.lo},{self.support_window.hi}]")
+        self.check_window(cfg.window)
 
     def words(self, window: Window) -> Iterator[tuple[int, ...]]:
         """All words over the alphabet on the given window, lexicographic."""
-        import itertools
         yield from itertools.product(self.alphabet.symbols, repeat=window.size)
+
+    def _scaled_distribution(self, window: Window, cap: int) -> tuple[dict, int | float]:
+        """`_scaled` after the cap and support checks."""
+        if len(self.alphabet) ** window.size > cap:
+            raise EnumerationCapError(
+                f"{len(self.alphabet)}^{window.size} words exceeds the cap")
+        self.check_window(window)
+        return self._scaled(window)
 
     def distribution(self, window: Window,
                      cap: int = 1 << 21) -> dict[tuple[int, ...], Prob]:
         """Full cylinder distribution on the window, zero entries included."""
-        if len(self.alphabet) ** window.size > cap:
-            raise EnumerationCapError(
-                f"{len(self.alphabet)}^{window.size} words exceeds the cap")
-        return {w: self.prob(Configuration(self.alphabet, window, w))
-                for w in self.words(window)}
+        return scaled_quotients(*self._scaled_distribution(window, cap))
 
 
 class BernoulliMeasure(MeasureProvider):
@@ -341,7 +378,10 @@ class BernoulliMeasure(MeasureProvider):
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
-        ws = [self.weights[v] for v in cfg.values]
+        return self._product(cfg.values)
+
+    def _product(self, word: tuple[int, ...]) -> Prob:
+        ws = [self.weights[v] for v in word]
         if self.exact:
             out = Fraction(1)
             for w in ws:
@@ -355,6 +395,18 @@ class BernoulliMeasure(MeasureProvider):
         for w in ws:
             out *= float(w)
         return out
+
+    def _scaled(self, window: Window) -> tuple[dict, int | float]:
+        """Products of integer_scaled weights over den^n; in float mode the
+        weights themselves, multiplied in site order as `prob` does."""
+        n = window.size
+        if not self.exact and n > LOG_PRODUCT_CUTOFF:
+            return {w: self._product(w) for w in self.words(window)}, 1.0  # log space
+        nums, den = integer_scaled(list(self.weights.values()), self.exact)
+        weight = dict(zip(self.weights, nums))
+        leaves = prefix_walk(self.alphabet.symbols, n, 1 if self.exact else 1.0,
+                             lambda acc, i, s: acc * weight[s])
+        return dict(leaves), den ** n
 
     def log_prob(self, cfg: Configuration) -> float:
         self.check_config(cfg)
@@ -382,13 +434,11 @@ class TableMeasure(MeasureProvider):
 
     def __init__(self, alphabet: Alphabet, window: Window,
                  table: Mapping[tuple[int, ...], Prob], label: str = "table"):
-        if len(table) != len(alphabet) ** window.size:
+        if set(table) != set(itertools.product(alphabet.symbols, repeat=window.size)):
             raise ValueError("table must cover every word on the window")
         ws = {w: as_prob(v) for w, v in table.items()}
         check_finite(ws.values(), "table weights")
-        for word, w in ws.items():
-            if len(word) != window.size:
-                raise ValueError("table key of wrong length")
+        for w in ws.values():
             if w < 0:
                 raise ValueError("negative weight")
         total = sum(ws.values())
@@ -396,25 +446,34 @@ class TableMeasure(MeasureProvider):
             raise ValueError("all weights zero")
         self.alphabet = alphabet
         self.support_window = window
-        self.table = ws
-        self.total = total
         self.label = label
+        # the weights as numerators over one den: ints over their sum when
+        # every weight is exact, else the weights over their float total
+        if is_exact(total):
+            nums, _ = integer_scaled(list(ws.values()), True)
+            self._nums, self._den, self._zero = dict(zip(ws, nums)), sum(nums), 0
+        else:
+            self._nums, self._den, self._zero = ws, total, 0.0
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
         off = cfg.window.lo - self.support_window.lo
         n = cfg.window.size
-        acc = Fraction(0) if is_exact(self.total) else 0.0
-        for word, w in self.table.items():
+        acc = self._zero
+        for word, w in self._nums.items():
             if word[off:off + n] == cfg.values:
                 acc += w
-        return acc / self.total
+        return scaled_quotient(acc, self._den)
 
-    def distribution(self, window: Window,
-                     cap: int = 1 << 21) -> dict[tuple[int, ...], Prob]:
-        if window == self.support_window:
-            return {w: v / self.total for w, v in sorted(self.table.items())}
-        return super().distribution(window, cap)
+    def _scaled(self, window: Window) -> tuple[dict, int | float]:
+        """The table marginalised onto the window in one pass; each word's
+        weights are added in table order, as `prob` adds them."""
+        off = window.lo - self.support_window.lo
+        cut = slice(off, off + window.size)
+        nums = dict.fromkeys(self.words(window), self._zero)
+        for word, w in self._nums.items():
+            nums[word[cut]] += w
+        return nums, self._den
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,

@@ -38,6 +38,7 @@ from .core import (
     format_prob,
     integer_scaled,
     is_exact,
+    prefix_walk,
     scaled_quotient,
 )
 
@@ -301,27 +302,59 @@ class FiniteVolumeMeasure(MeasureProvider):
         does.  So the pass steps ints in rational mode (den is 1.0 in float
         mode), and the scale cancels in the quotient of two sums.
         """
-        m, den, weight = self.params.m, self._den, self._weight
+        m = self.params.m
         # branch sigma_0 = 0: every term vanishes, weight 1 per word
         zero_branch = 0
         if fixed.get(0, 0) == 0:
             free = sum(1 for i in range(1, m + 1) if i not in fixed)
-            zero_branch = 2 ** free * den ** (m // 2)
+            zero_branch = 2 ** free * self._den ** (m // 2)
         # branch sigma_0 = 1: forward pass over trailing-run states
         one_branch = 0
         if fixed.get(0, 1) == 1:
-            states = {1: 1}
-            for i in range(1, m + 1):
-                n, odd = divmod(i, 2)
-                nxt: dict[int, int | float] = {}
-                if fixed.get(i, 0) == 0:  # a 0 ends every run
-                    nxt[0] = sum(states.values()) * (1 if odd else den)
-                if fixed.get(i, 1) == 1:  # a 1 extends every run; U(i) fires if it stays <= n
-                    for r, acc in states.items():
-                        nxt[r + 1] = acc if odd else acc * (weight[n - r - 1] if r < n else den)
-                states = nxt
-            one_branch = sum(states.values())
+            one_branch = sum(self._forward({1: 1}, 1, m, fixed).values())
         return zero_branch + one_branch
+
+    def _forward(self, states: dict, lo: int, hi: int, fixed: dict[int, int]) -> dict:
+        """Step the trailing-run states {run length: scaled weight} of the
+        sigma_0 = 1 branch through sites lo..hi; a site listed in `fixed`
+        takes that value, any other takes both."""
+        den, weight = self._den, self._weight
+        for i in range(lo, hi + 1):
+            n, odd = divmod(i, 2)
+            v = fixed.get(i)
+            nxt: dict[int, int | float] = {}
+            if v != 1:  # a 0 ends every run
+                nxt[0] = sum(states.values()) * (1 if odd else den)
+            if v != 0:  # a 1 extends every run; U(i) fires if it stays <= n
+                for r, acc in states.items():
+                    nxt[r + 1] = acc if odd else acc * (weight[n - r - 1] if r < n else den)
+            states = nxt
+        return states
+
+    def _scaled(self, window: Window) -> tuple[dict, int | float]:
+        """_forward_sum of every word on the window, over the total.
+
+        A word's state is (its sigma_0 = 0 branch, the run-length states of
+        its sigma_0 = 1 branch), carried down the window one site at a time,
+        so words share the pass over their common prefix.  Free sites before
+        the window are stepped once for all words; each word then steps
+        through the free sites after it, as _forward_sum does, so every sum
+        is the same int or float.  A branch that site 0 rules out is 0 or
+        carries no states."""
+        m, lo, hi = self.params.m, window.lo, window.hi
+        zero = 2 ** (m - hi + max(lo, 1) - 1) * self._den ** (m // 2)
+
+        def step(state, i, s):
+            site = lo + i
+            if site == 0:
+                return (zero, {}) if s == 0 else (0, {1: 1})
+            branch, states = state
+            return (branch, self._forward(states, site, site, {site: s})) if states else state
+
+        start = (zero, self._forward({1: 1}, 1, lo - 1, {}))
+        return {w: branch + sum(self._forward(states, hi + 1, m, {}).values())
+                for w, (branch, states) in prefix_walk((0, 1), window.size, start, step)
+                }, self._total
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)

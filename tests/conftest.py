@@ -14,7 +14,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 _ACCEPTANCE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
-_results: dict[int, tuple[str, str]] = {}
+_results: dict[int, tuple[str, str, float]] = {}
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def channel_eps10() -> ChannelParams:
 def pytest_runtest_logreport(report):
     m = _ACCEPTANCE.search(report.nodeid)
     if m and report.when == "call":
-        _results[int(m.group(1))] = (m.group(2), report.outcome.upper())
+        _results[int(m.group(1))] = (m.group(2), report.outcome.upper(), report.duration)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -39,7 +39,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for num in sorted(_results):
-        name, outcome = _results[num]
+        name, outcome, seconds = _results[num]
         word = "PASS" if outcome == "PASSED" else "FAIL"
+        # the call's wall time, to read against the test's stopwatch cap
         terminalreporter.write_line(
-            f"CRITERION {num:02d} {word}  {name.replace('_', ' ')}")
+            f"CRITERION {num:02d} {word}  {name.replace('_', ' ')}  ({seconds:.2f} s)")

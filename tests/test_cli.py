@@ -162,6 +162,16 @@ def test_product_of_marginals_rejects_nonstationary_inner(tmp_path, capsys):
     assert "stationary" in rec["message"]
 
 
+def test_relent_rejects_measures_on_different_alphabets(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "experiment": "window",
+        "nu": {"kind": "bitshift", **STD_CHANNEL},
+        "mu": {"kind": "fair_coin"},
+        "window": {"lo": 1, "hi": 1}})
+    rec = expect_error(capsys, ["relent", "--config", cfg], 1, "invalid-config")
+    assert "bitshift(d=2,k=3,eps=1/4) and fair-coin have different alphabets" in rec["message"]
+
+
 def test_bernoulli_provider_with_fraction_strings(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {
         "experiment": "density",

@@ -1,5 +1,6 @@
 """Relative entropy, density ratios, and the conditional-TV identity."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,15 +10,20 @@ from hypothesis import given, settings, strategies as st
 from gibbslab import (
     BINARY,
     BernoulliMeasure,
+    BitShiftMeasure,
+    ChannelParams,
     EnumerationCapError,
     FiniteVolumeMeasure,
     InteractionParams,
     Window,
     ZeroProbabilityError,
+    binary_config,
     conditional_gap_probe,
     config,
     density_ratio,
+    entropy_levels,
     fair_coin,
+    hamiltonian,
     relative_entropy_density,
     tv_identity_check,
     window_relative_entropy,
@@ -221,3 +227,175 @@ def test_gap_probe_validation():
         conditional_gap_probe(fair_coin(), SKEW, Window(0, 2), 2)
     with pytest.raises(ZeroProbabilityError):
         conditional_gap_probe(fair_coin(), DEFICIENT, Window(0, 0), 2)
+
+
+# ------------------------------------------------------------- alphabets
+
+CHANNEL = BitShiftMeasure(ChannelParams(2, 3, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda nu, mu: window_relative_entropy(nu, mu, Window(1, 1)),
+    lambda nu, mu: relative_entropy_density(nu, mu, 2),
+    lambda nu, mu: tv_identity_check(nu, mu, Window(0, 0), Window(0, 2)),
+    lambda nu, mu: conditional_gap_probe(nu, mu, Window(0, 0), 2),
+], ids=["window", "density", "tv_identity", "conditional_gap"])
+@pytest.mark.parametrize("channel_first", [True, False])
+def test_relent_rejects_measures_on_different_alphabets(call, channel_first):
+    # once a KeyError, a ZeroProbabilityError, or a silent finite value
+    pair = (CHANNEL, fair_coin()) if channel_first else (fair_coin(), CHANNEL)
+    with pytest.raises(ValueError, match="different alphabets") as err:
+        call(*pair)
+    assert CHANNEL.label in str(err.value) and "fair-coin" in str(err.value)
+
+
+# ------------------------------------------- against the per-word formulas
+
+def _probs(measure, window):
+    return {w: measure.prob(config(measure.alphabet, window.lo, w))
+            for w in measure.words(window)}
+
+
+def _rest(w, rest_ix):
+    return tuple(w[j] for j in rest_ix)
+
+
+def _literal_relent(p, q):
+    if all(p[w] == q[w] for w in p):
+        return 0.0
+    terms = []
+    for w, pw in p.items():
+        if pw == 0:
+            continue
+        if q[w] == 0:
+            return math.inf
+        exact = isinstance(pw, Fraction) and isinstance(q[w], Fraction)
+        ratio = pw / q[w] if exact else float(pw) / float(q[w])
+        terms.append(float(pw) * math.log(float(ratio)))
+    value = math.fsum(terms)
+    return 0.0 if -1e-9 < value < 0.0 else value
+
+
+def _literal_split(p, q, rest_ix):
+    zero = next(iter(p.values())) * 0
+    p_rest, q_rest, gaps = {}, {}, {}
+    for w in p:
+        r = _rest(w, rest_ix)
+        p_rest[r] = p_rest.get(r, zero) + p[w]
+        q_rest[r] = q_rest.get(r, zero) + q[w]
+    for w in p:
+        r = _rest(w, rest_ix)
+        if p_rest[r] != 0 and q_rest[r] != 0:
+            gaps[r] = gaps.get(r, zero) + abs(p[w] / p_rest[r] - q[w] / q_rest[r])
+    return zero, p_rest, q_rest, gaps
+
+
+def _literal_tv(p, q, rest_ix):
+    zero, p_rest, q_rest, gaps = _literal_split(p, q, rest_ix)
+    lhs = zero
+    for w, qw in q.items():
+        if qw != 0:
+            r = _rest(w, rest_ix)
+            lhs += abs(p[w] - qw * p_rest[r] / q_rest[r])
+    rhs = zero
+    for r, gap in gaps.items():
+        rhs += p_rest[r] * gap
+    return lhs, rhs
+
+
+def _literal_gap_row(p, q, rest_ix):
+    zero, p_rest, _, gaps = _literal_split(p, q, rest_ix)
+    mean = sum((p_rest[r] * g for r, g in gaps.items()), zero)
+    return float(mean), float(max(gaps.values(), default=zero)), len(gaps)
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, Fraction) else got.hex() == want.hex()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(size=st.integers(min_value=2, max_value=5),
+       raw_p=st.lists(st.integers(min_value=0, max_value=6), min_size=32, max_size=32),
+       raw_q=st.lists(st.integers(min_value=1, max_value=9), min_size=32, max_size=32),
+       kinds=st.sampled_from(["exact", "float", "mixed"]),
+       data=st.data())
+def test_relent_on_random_tables_matches_the_per_word_formulas(size, raw_p, raw_q, kinds, data):
+    delta = Window(0, size - 1)
+    words = list(itertools.product((0, 1), repeat=size))
+    raw_p = raw_p[:len(words)]
+    if not any(raw_p):
+        raw_p[0] = 1
+    p_of = Fraction if kinds != "float" else (lambda k: k / 7)
+    q_of = Fraction if kinds == "exact" else (lambda k: k / 7)
+    nu = TableMeasure(BINARY, delta, {w: p_of(k) for w, k in zip(words, raw_p)})
+    mu = TableMeasure(BINARY, delta, {w: q_of(k) for w, k in zip(words, raw_q[:len(words)])})
+    lo = data.draw(st.integers(min_value=0, max_value=size - 1))
+    hi = data.draw(st.integers(min_value=lo, max_value=size - 1 if lo else size - 2))
+
+    for window in (delta, Window(lo, hi)):
+        got = window_relative_entropy(nu, mu, window).value
+        _same(got, _literal_relent(_probs(nu, window), _probs(mu, window)))
+
+    rest_ix = [j for j in range(size) if not lo <= j <= hi]
+    res = tv_identity_check(nu, mu, Window(lo, hi), delta)
+    lhs, rhs = _literal_tv(_probs(nu, delta), _probs(mu, delta), rest_ix)
+    _same(res.lhs, lhs)
+    _same(res.rhs, rhs)
+    assert res.exact == (kinds == "exact") and res.equal
+
+    if hi < size - 1:
+        rows = conditional_gap_probe(nu, mu, Window(lo, hi), size - 1)
+        for row in rows:
+            window = Window(lo, row.n)
+            ix = [j for j in range(window.size) if not lo <= j + lo <= hi]
+            mean, biggest, count = _literal_gap_row(_probs(nu, window), _probs(mu, window), ix)
+            _same(row.mean_gap, mean)
+            _same(row.max_gap, biggest)
+            assert row.conditioned_on == count
+
+
+# ------------------------------------- finite forms of the variational principle
+
+BENCH_CHANNELS = [
+    ChannelParams(2, 3, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4)),
+    ChannelParams(2, 4, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), Fraction(1, 8)),
+]
+
+
+@pytest.mark.parametrize("params", BENCH_CHANNELS)
+def test_channel_relent_against_its_marginals_is_the_entropy_defect(params):
+    """H_[1,n](nu | product of nu's one-site marginals) = n H_1 - H_n."""
+    nu = BitShiftMeasure(params)
+    site = nu.distribution(Window(1, 1))
+    marginals = BernoulliMeasure(nu.alphabet, [site[(s,)] for s in nu.alphabet])
+    levels = entropy_levels(params, 5)
+    for n in range(2, 6):
+        value = window_relative_entropy(nu, marginals, Window(1, n)).value
+        # The sweep's forward vectors are n float steps of 3-term dot products,
+        # so each weight w is within 3n ulp and each -w log w within
+        # 3n u (|log w| + 1) w, summing to 3n u (H_n + 1); its pairwise sums
+        # add about log2(7^5) u H_n.  relent rounds each exact term at most 4
+        # times.  With H_n <= n log(k + 3), (3n + 20) u (n log(k + 3) + 1)
+        # covers all of it: 4.7e-14 at n = 5, k = 4 (measured <= 1.6e-15).
+        tol = (3 * n + 20) * 2**-53 * (n * math.log(params.k + 3) + 1)
+        assert abs(value - (n * levels[0] - levels[n - 1])) <= tol
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_volume_relent_against_the_coin_is_free_energy_minus_energy(m):
+    """H_[0,m](mu_m | fair coin) = -mu_m(H) - log(Z_m / 2^(m+1)), in float mode."""
+    params = InteractionParams(0.5, m)
+    mu = FiniteVolumeMeasure(params, "float")
+    dist = mu.distribution(Window(0, m))
+    energy = {w: float(hamiltonian(params, binary_config(w))) for w in dist}
+    z = math.fsum(math.exp(-h) for h in energy.values())
+    mean_energy = math.fsum(dist[w] * energy[w] for w in dist)
+    value = window_relative_entropy(mu, fair_coin(), Window(0, m)).value
+    # mu_m rounds each of its at most m/2 + 1 factors e^(-rho^e) once and
+    # rounds once per product and quotient, so log mu_m(w) differs from
+    # -H(w) - log Z_m by at most (m + 4) u, u = 2^-53; the terms summed on
+    # either side are at most (m + 1) log 2 + max H <= m + 2 in size.
+    # Measured: 7e-17 at m = 8, 1.7e-16 at m = 12.
+    tol = (m + 4) * (m + 2) * 2**-53
+    assert abs(value - (-mean_energy - math.log(z / 2 ** (m + 1)))) <= tol
