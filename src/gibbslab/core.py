@@ -26,6 +26,9 @@ LOG_PRODUCT_CUTOFF = 64
 
 FLOAT_TOL = 1e-12
 
+# default cap on the words one whole-window distribution may list
+WORD_CAP = 1 << 21
+
 
 class ZeroProbabilityError(ArithmeticError):
     """Conditioning event has probability zero.
@@ -353,7 +356,7 @@ class MeasureProvider:
         return self._scaled(window)
 
     def distribution(self, window: Window,
-                     cap: int = 1 << 21) -> dict[tuple[int, ...], Prob]:
+                     cap: int = WORD_CAP) -> dict[tuple[int, ...], Prob]:
         """Full cylinder distribution on the window, zero entries included."""
         return scaled_quotients(*self._scaled_distribution(window, cap))
 

@@ -1,7 +1,7 @@
 """Relative entropy between cylinder measures, and two identities about it.
 
 Everything here works on a pair of MeasureProviders queried over finite
-windows.  The headline algebraic fact, checked exactly in rational mode by
+windows.  The headline algebraic fact, evaluated on exact sums by
 tv_identity_check: with f_V = d(nu)/d(mu) on the window V,
 
     mu(|f_D - f_{D minus L}|)
@@ -12,27 +12,30 @@ much the density ratio still moves when the L-coordinates are revealed, so
 either side is a usable "distance from being a conditional identity".
 
 No limits are taken anywhere: density sequences are reported as finite-n
-tables and the reader draws the curve.  When both measures are exact, the
-functions work on the providers' integer numerators; when either is float,
-on the probabilities `distribution` lists.
+tables and the reader draws the curve.  Every function works on integer
+numerators: an exact measure's own, and for a float measure the
+probabilities `distribution` lists, each read as the dyadic rational it
+stores.  So every sum is exact; results are Fractions when both measures
+are exact, and otherwise each is rounded to float once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lshift
+from typing import Iterable
+
+import numpy as np
 
 from .core import (
+    WORD_CAP,
     Configuration,
     MeasureProvider,
     Prob,
     Window,
     ZeroProbabilityError,
-    scaled_quotients,
 )
-
-WORD_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -46,38 +49,55 @@ class RelEntReport:
     contributions: tuple[tuple[tuple[int, ...], float], ...] | None = None
 
 
+def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[list, int]:
+    """(nums, den'): the quotients v / den as int numerators over one int den'.
+
+    Exact values pass through.  A float quotient is the dyadic rational it
+    stores, odd * 2**e, so over the largest denominator, 2**-min(e), its
+    numerator is odd << (e - min(e)): float.as_integer_ratio() scaled to
+    that denominator.  numpy reads every mantissa and exponent at once.
+    """
+    if isinstance(den, int):
+        return list(values), den
+    frac, exp = np.frexp(np.fromiter(values, float) / den)
+    mant = np.ldexp(frac, 53).astype(np.int64)  # v / den == mant * 2**(exp - 53)
+    zeros = np.frexp((mant & -mant).astype(float))[1] - 1  # trailing zero bits
+    odd, exp = mant >> zeros.clip(0), exp - 53 + zeros
+    low = int(exp.min(where=mant != 0, initial=0))
+    return list(map(lshift, odd.tolist(), (exp - low).clip(0).tolist())), 1 << -low
+
+
 def _scaled_pair(nu: MeasureProvider, mu: MeasureProvider, window: Window, cap: int):
-    """(p, a, q, b, exact): nu's and mu's distributions on the window as
-    numerators p over a and q over b.  Exact pairs keep int numerators, so
-    callers build one Fraction per rest word, not per word; otherwise each
-    numerator becomes the value `distribution` lists, over 1."""
+    """(words, p, a, q, b, exact): the window's words, and the probabilities
+    `distribution` lists for them as int numerators, nu's p over a and mu's q
+    over b.  Every `_scaled` lists all the window's words in lexicographic
+    order, so p and q line up with words.  Callers build one Fraction per
+    rest word, not per word.  exact says whether both measures are exact."""
     if nu.alphabet != mu.alphabet:
         raise ValueError(f"{nu.label} and {mu.label} have different alphabets: "
                          f"{nu.alphabet.symbols} and {mu.alphabet.symbols}")
     p, a = nu._scaled_distribution(window, cap)
     q, b = mu._scaled_distribution(window, cap)
-    if isinstance(a, int) and isinstance(b, int):
-        return p, a, q, b, True
-    return scaled_quotients(p, a), 1, scaled_quotients(q, b), 1, False
+    exact = isinstance(a, int) and isinstance(b, int)
+    return (list(p), *_int_numerators(p.values(), a), *_int_numerators(q.values(), b), exact)
 
 
 def window_relative_entropy(nu: MeasureProvider, mu: MeasureProvider,
                             window: Window, keep_contributions: bool = False,
                             cap: int = WORD_CAP) -> RelEntReport:
     """sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0."""
-    p, a, q, b, _ = _scaled_pair(nu, mu, window, cap)
-    if all(pw * b == q[w] * a for w, pw in p.items()):
+    words, p, a, q, b, _ = _scaled_pair(nu, mu, window, cap)
+    if all(x * b == y * a for x, y in zip(p, q)):
         return RelEntReport(window, 0.0, False, () if keep_contributions else None)
     terms: list[tuple[tuple[int, ...], float]] = []
-    for w, pw in p.items():
-        if pw == 0:
+    for w, x, y in zip(words, p, q):
+        if x == 0:
             continue
-        qw = q[w]
-        if qw == 0:
+        if y == 0:
             return RelEntReport(window, math.inf, True,
                                 ((w, math.inf),) if keep_contributions else None)
         # int / int rounds once, as float() of the Fraction it stands for does
-        terms.append((w, float(pw / a) * math.log((pw * b) / (qw * a))))
+        terms.append((w, x / a * math.log((x * b) / (y * a))))
     value = math.fsum(t for _, t in terms)
     if -1e-9 < value < 0.0:
         value = 0.0  # roundoff on a sum that is nonnegative by Gibbs' inequality
@@ -127,48 +147,22 @@ def _rest_positions(delta: Window, lam: Window) -> list[int]:
     return rest_ix
 
 
-def _conditional_split(p: dict, q: dict, rest_ix: list[int]):
-    """Float or mixed mode: marginals of p and q on the rest coordinates,
-    and per rest word charged by both, the L1 gap between their conditionals
-    on lam.
-
-    Returns (zero, p_rest, q_rest, gaps).  Rest words with no p-mass carry no
-    weight and get no gap; those with p-mass but no q-mass get none either,
-    and each caller decides whether that is an error.
-    """
-    zero = p[next(iter(p))] * 0
-    p_rest: dict[tuple[int, ...], Prob] = {}
-    q_rest: dict[tuple[int, ...], Prob] = {}
-    for w, v in p.items():
-        rest = tuple(w[j] for j in rest_ix)
-        p_rest[rest] = p_rest.get(rest, zero) + v
-        q_rest[rest] = q_rest.get(rest, zero) + q[w]
-    gaps: dict[tuple[int, ...], Prob] = {}
-    for w, pw in p.items():
-        rest = tuple(w[j] for j in rest_ix)
-        if p_rest[rest] == 0 or q_rest[rest] == 0:
-            continue
-        gaps[rest] = gaps.get(rest, zero) + \
-            abs(pw / p_rest[rest] - q[w] / q_rest[rest])
-    return zero, p_rest, q_rest, gaps
-
-
-def _rest_groups(p: dict, q: dict, rest_ix: list[int]) -> list[tuple[int, int, int, list]]:
-    """Exact mode: per rest word r, (a_r, b_r, g_r, pairs), where pairs holds
-    the int numerators (a_w, b_w) of its words, a_r and b_r are their sums,
-    and g_r sums |a_w b_r - b_w a_r| over them.
+def _rest_groups(words: list, p: list, q: list,
+                 rest_ix: list[int]) -> list[tuple[int, int, int]]:
+    """Per rest word r, (a_r, b_r, g_r): a_r and b_r sum the int numerators
+    a_w of p and b_w of q over r's words, and g_r sums |a_w b_r - b_w a_r|.
 
     With P = p / a and Q = q / b, the L1 gap between the conditionals on lam
     given r is g_r / (a_r b_r), and P_rest(r) is a_r / a.
     """
     rest = itemgetter(*rest_ix)
     groups: dict = {}
-    for w, pw in p.items():
-        groups.setdefault(rest(w), []).append((pw, q[w]))
+    for w, x, y in zip(words, p, q):
+        groups.setdefault(rest(w), []).append((x, y))
     out = []
     for pairs in groups.values():
         a_r, b_r = sum(x for x, _ in pairs), sum(y for _, y in pairs)
-        out.append((a_r, b_r, sum(abs(x * b_r - y * a_r) for x, y in pairs), pairs))
+        out.append((a_r, b_r, sum(abs(x * b_r - y * a_r) for x, y in pairs)))
     return out
 
 
@@ -186,37 +180,28 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
 
     lam may touch either end of delta or sit strictly inside it; the
     conditioning coordinates are handled as tuples, not intervals.  Requires
-    nu << mu on delta (checked word by word).  In rational mode the two sides
-    must come out exactly equal; `equal` reports == there and a 1e-12
-    comparison in float mode.  The sides are summed along different
-    groupings: the left word by word over q, the right as p_rest times the
-    conditional gap.
+    nu << mu on delta (checked word by word).  Both sides are exact sums, and
+    `equal` reports == on them; they come back as Fractions when both
+    measures are exact, each rounded to float once otherwise.  Both are
+    built from _rest_groups' g_r, so == here checks the bookkeeping, not the
+    identity; the literal per-word formulas in the tests check that.
     """
     rest_ix = _rest_positions(delta, lam)
-    p, a, q, b, exact = _scaled_pair(nu, mu, delta, cap)
-    if any(v != 0 and q[w] == 0 for w, v in p.items()):
+    words, p, a, q, b, exact = _scaled_pair(nu, mu, delta, cap)
+    if any(x != 0 and y == 0 for x, y in zip(p, q)):
         raise ZeroProbabilityError(
             "identity needs nu absolutely continuous w.r.t. mu on delta")
+    lhs = rhs = Fraction(0)
+    for a_r, b_r, g_r in _rest_groups(words, p, q, rest_ix):
+        # |p_w - q_w p_rest / q_rest| = |a_w b_r - b_w a_r| / (a b_r), and the
+        # words with q_w = 0 add nothing, as p_w = 0 there
+        if b_r:
+            lhs += Fraction(g_r, a * b_r)
+        if a_r and b_r:
+            rhs += Fraction(a_r, a) * Fraction(g_r, a_r * b_r)
     if exact:
-        lhs = rhs = Fraction(0)
-        for a_r, b_r, g_r, pairs in _rest_groups(p, q, rest_ix):
-            if b_r:  # |p_w - q_w p_rest / q_rest| = |a_w b_r - b_w a_r| / (a b_r)
-                lhs += Fraction(sum(abs(x * b_r - y * a_r) for x, y in pairs if y), a * b_r)
-            if a_r and b_r:
-                rhs += Fraction(a_r, a) * Fraction(g_r, a_r * b_r)
         return TvIdentityResult(lhs, rhs, True, lhs == rhs)
-
-    zero, p_rest, q_rest, gaps = _conditional_split(p, q, rest_ix)
-    lhs = zero
-    for w, qw in q.items():
-        if qw == 0:
-            continue
-        rest = tuple(w[j] for j in rest_ix)
-        lhs += abs(p[w] - qw * p_rest[rest] / q_rest[rest])
-    rhs = zero
-    for rest, gap in gaps.items():
-        rhs += p_rest[rest] * gap
-    return TvIdentityResult(lhs, rhs, False, abs(float(lhs) - float(rhs)) <= 1e-12)
+    return TvIdentityResult(float(lhs), float(rhs), False, lhs == rhs)
 
 
 @dataclass(frozen=True)
@@ -242,20 +227,14 @@ def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     for n in range(lam.hi + 1, n_max + 1):
         delta = Window(lam.lo, n)
         rest_ix = _rest_positions(delta, lam)
-        p, a, q, b, exact = _scaled_pair(nu, mu, delta, cap)
-        if exact:
-            groups = _rest_groups(p, q, rest_ix)
-            uncovered = any(a_r and not b_r for a_r, b_r, _, _ in groups)
-            gaps = [(g_r, a_r, b_r) for a_r, b_r, g_r, _ in groups if a_r and b_r]
-            # p_rest times the gap is (a_r / a) g_r / (a_r b_r) = g_r / (a b_r)
-            mean = sum((Fraction(g_r, b_r) for g_r, _, b_r in gaps), Fraction(0)) / a
-            # int / int rounds once and rounding keeps order, so this is float(max)
-            biggest = max((g_r / (a_r * b_r) for g_r, a_r, b_r in gaps), default=0.0)
-        else:
-            zero, p_rest, q_rest, gaps = _conditional_split(p, q, rest_ix)
-            uncovered = any(v != 0 and q_rest[r] == 0 for r, v in p_rest.items())
-            mean = sum((p_rest[r] * g for r, g in gaps.items()), zero)
-            biggest = max(gaps.values(), default=zero)
+        words, p, a, q, b, _ = _scaled_pair(nu, mu, delta, cap)
+        groups = _rest_groups(words, p, q, rest_ix)
+        uncovered = any(a_r and not b_r for a_r, b_r, _ in groups)
+        gaps = [(g_r, a_r, b_r) for a_r, b_r, g_r in groups if a_r and b_r]
+        # p_rest times the gap is (a_r / a) g_r / (a_r b_r) = g_r / (a b_r)
+        mean = sum((Fraction(g_r, b_r) for g_r, _, b_r in gaps), Fraction(0)) / a
+        # int / int rounds once and rounding keeps order, so this is float(max)
+        biggest = max((g_r / (a_r * b_r) for g_r, a_r, b_r in gaps), default=0.0)
         if uncovered:
             raise ZeroProbabilityError(
                 "mu puts no mass on a conditioning word nu charges")

@@ -252,7 +252,9 @@ def test_relent_rejects_measures_on_different_alphabets(call, channel_first):
 # ------------------------------------------- against the per-word formulas
 
 def _probs(measure, window):
-    return {w: measure.prob(config(measure.alphabet, window.lo, w))
+    """Each listed probability as the rational it stands for; a float reads
+    as the dyadic rational it stores."""
+    return {w: Fraction(measure.prob(config(measure.alphabet, window.lo, w)))
             for w in measure.words(window)}
 
 
@@ -269,15 +271,13 @@ def _literal_relent(p, q):
             continue
         if q[w] == 0:
             return math.inf
-        exact = isinstance(pw, Fraction) and isinstance(q[w], Fraction)
-        ratio = pw / q[w] if exact else float(pw) / float(q[w])
-        terms.append(float(pw) * math.log(float(ratio)))
+        terms.append(float(pw) * math.log(float(pw / q[w])))
     value = math.fsum(terms)
     return 0.0 if -1e-9 < value < 0.0 else value
 
 
 def _literal_split(p, q, rest_ix):
-    zero = next(iter(p.values())) * 0
+    zero = Fraction(0)
     p_rest, q_rest, gaps = {}, {}, {}
     for w in p:
         r = _rest(w, rest_ix)
@@ -340,8 +340,9 @@ def test_relent_on_random_tables_matches_the_per_word_formulas(size, raw_p, raw_
     rest_ix = [j for j in range(size) if not lo <= j <= hi]
     res = tv_identity_check(nu, mu, Window(lo, hi), delta)
     lhs, rhs = _literal_tv(_probs(nu, delta), _probs(mu, delta), rest_ix)
-    _same(res.lhs, lhs)
-    _same(res.rhs, rhs)
+    rounded = (lambda x: x) if kinds == "exact" else float  # each side rounds once
+    _same(res.lhs, rounded(lhs))
+    _same(res.rhs, rounded(rhs))
     assert res.exact == (kinds == "exact") and res.equal
 
     if hi < size - 1:
@@ -353,6 +354,111 @@ def test_relent_on_random_tables_matches_the_per_word_formulas(size, raw_p, raw_
             _same(row.mean_gap, mean)
             _same(row.max_gap, biggest)
             assert row.conditioned_on == count
+
+
+@pytest.mark.parametrize("weights", [(5e-324, 1.0), (1e-300, 1.0), (0.0, 1.0), (0.3, 0.7)],
+                         ids=["subnormal", "tiny", "point-mass", "inexact"])
+def test_float_probabilities_are_read_as_the_rationals_they_store(weights):
+    # float weights at the ends of the double range, against the float coin
+    # both ways round; the outputs are the literal formulas on Fraction(v),
+    # rounded once
+    nu = BernoulliMeasure(BINARY, weights)
+    coin = BernoulliMeasure(BINARY, (0.5, 0.5))
+    delta = Window(0, 2)
+    for a, b in ((nu, coin), (coin, nu)):
+        p, q = _probs(a, delta), _probs(b, delta)
+        _same(window_relative_entropy(a, b, delta).value, _literal_relent(p, q))
+        if all(q[w] != 0 for w in p if p[w] != 0):
+            res = tv_identity_check(a, b, Window(1, 1), delta)
+            lhs, rhs = _literal_tv(p, q, [0, 2])
+            _same(res.lhs, float(lhs))
+            _same(res.rhs, float(rhs))
+        if all(q[w] != 0 for w in p):
+            row = conditional_gap_probe(a, b, Window(0, 0), 2)[-1]
+            assert (row.mean_gap, row.max_gap, row.conditioned_on) == \
+                _literal_gap_row(p, q, [1, 2])
+
+
+def _twins(family, data):
+    """((exact, float) twins of one measure, a window inside its support)."""
+    if family == "volume":
+        rho = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]))
+        m = data.draw(st.sampled_from([4, 6, 8]))
+        return (FiniteVolumeMeasure(InteractionParams(rho, m), "rational"),
+                FiniteVolumeMeasure(InteractionParams(float(rho), m), "float")), Window(0, m)
+    if family == "bernoulli":
+        k = data.draw(st.integers(min_value=1, max_value=15))
+        w = (Fraction(k, 16), Fraction(16 - k, 16))
+        return (BernoulliMeasure(BINARY, w),
+                BernoulliMeasure(BINARY, tuple(map(float, w)))), Window(1, 5)
+    eps = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 8)]))
+    half = (Fraction(1, 2), Fraction(1, 2))
+    return (BitShiftMeasure(ChannelParams(2, 3, half, eps)),
+            BitShiftMeasure(ChannelParams(2, 3, (0.5, 0.5), float(eps)))), Window(1, 4)
+
+
+def _marginals(measure):
+    site = measure.distribution(Window(1, 1))
+    return BernoulliMeasure(measure.alphabet, [site[(s,)] for s in measure.alphabet])
+
+
+def _close(got, want, rel):
+    if want == math.inf:  # nu charges a word mu does not, in both modes
+        assert got == math.inf
+        return
+    # Each float-mode probability is a few ulp off its exact twin, which an
+    # entropy passes on as an absolute error of order 1e-16 however small the
+    # entropy is (measured: 1.4e-16 on 1.2e-4, a volume against a Bernoulli
+    # pair).  So below 0.01 the relative bound becomes an absolute 1e-14.
+    tol = 1e-12 * max(abs(want), 1e-2) if rel else 1e-12
+    assert abs(got - want) <= tol, (got, want)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(family=st.sampled_from(["volume", "bernoulli", "channel"]),
+       partner=st.sampled_from(["coin", "bernoulli", "marginals"]),
+       swap=st.booleans(), data=st.data())
+def test_float_mode_tracks_rational_mode(family, partner, swap, data):
+    """Each relent function on a pair's float twins is within 1e-12 of its
+    value on the exact pair: relative for entropies (see _close), absolute
+    for TV sides and gaps, which are at most 2."""
+    twins, window = _twins(family, data)
+    if family == "channel":
+        partner = "marginals"  # the only partner on the channel's alphabet
+    if partner == "coin":
+        others = (fair_coin(), fair_coin())  # the exact coin in both modes
+    elif partner == "bernoulli":
+        others = _twins("bernoulli", data)[0]
+    else:
+        others = tuple(_marginals(t) for t in twins)
+    pairs = list(zip(twins, others))
+    if swap:
+        pairs = [(o, t) for t, o in pairs]
+    (nu, mu), (fnu, fmu) = pairs
+    lo, n = window.lo, window.size
+    lam = Window(lo, lo)
+
+    _close(window_relative_entropy(fnu, fmu, window).value,
+           window_relative_entropy(nu, mu, window).value, rel=True)
+    for got, want in zip(relative_entropy_density(fnu, fmu, n - 1, lo=lo),
+                         relative_entropy_density(nu, mu, n - 1, lo=lo), strict=True):
+        _close(got.window_value, want.window_value, rel=True)
+        _close(got.per_site, want.per_site, rel=True)
+    try:
+        want = tv_identity_check(nu, mu, lam, window)
+    except ZeroProbabilityError:
+        with pytest.raises(ZeroProbabilityError):
+            tv_identity_check(fnu, fmu, lam, window)
+        return
+    got = tv_identity_check(fnu, fmu, lam, window)
+    assert want.exact and want.equal and got.equal
+    _close(got.lhs, float(want.lhs), rel=False)
+    _close(got.rhs, float(want.rhs), rel=False)
+    for got, want in zip(conditional_gap_probe(fnu, fmu, lam, window.hi),
+                         conditional_gap_probe(nu, mu, lam, window.hi), strict=True):
+        assert got.n == want.n and got.conditioned_on == want.conditioned_on
+        _close(got.mean_gap, want.mean_gap, rel=False)
+        _close(got.max_gap, want.max_gap, rel=False)
 
 
 # ------------------------------------- finite forms of the variational principle
