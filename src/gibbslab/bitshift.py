@@ -269,11 +269,8 @@ class BitShiftMeasure(MeasureProvider):
         self.check_config(cfg)
         return cylinder_log_prob(self.params, cfg.values)
 
-    def _scaled(self, window: Window) -> tuple[dict, int | float]:
-        """Forward numerators of the admissible words; every other word is
-        listed with numerator 0."""
-        nums, den = _admissible_numerators(self.params, window.size)
-        return {w: nums.get(w, 0) for w in self.words(window)}, den
+    def _walker(self, window: Window) -> tuple:
+        return _walker(self.params, window.size)
 
 
 @dataclass(frozen=True)
@@ -319,30 +316,30 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
     return tuple(rows)
 
 
-def _admissible_numerators(params: ChannelParams, n: int
-                           ) -> tuple[dict[tuple[int, ...], int | float], int | float]:
-    """(nums, den) over the admissible length-n output words, lexicographic:
-    each word's forward-vector sum over the common denominator of
-    cylinder_prob, from one walk that shares each prefix's forward vector and
-    drops a prefix once its vector is zero."""
+def _walker(params: ChannelParams, n: int) -> tuple:
+    """(start, step, leaf, den) of the forward recursion over length-n output
+    words, on the numbers of cylinder_prob: a prefix's state is its forward
+    vector, dropped once it is zero, and a word's numerator is the vector's
+    sum over den0 * den^n."""
     init, mats, den0, den = params._forward_model
 
     def step(alpha, i, y):
         nxt = _step(mats[y], alpha)
         return nxt if nxt != (0, 0, 0) else None
 
-    return ({w: sum(alpha) for w, alpha in prefix_walk(params.output_symbols, n, init, step)},
-            den0 * den ** n)
+    return init, step, sum, den0 * den ** n
 
 
 def block_distribution(params: ChannelParams, n: int,
                        cap: int = 8) -> dict[tuple[int, ...], Prob]:
-    """Exact distribution over admissible length-n output words (DFS, pruned)."""
+    """Exact distribution over admissible length-n output words, from one
+    walk that shares each prefix's forward vector and prunes zero ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise EnumerationCapError(f"block distribution capped at n <= {cap}")
-    return scaled_quotients(*_admissible_numerators(params, n))
+    start, step, leaf, den = _walker(params, n)
+    return scaled_quotients(prefix_walk(params.output_symbols, n, start, step, leaf), den)
 
 
 def _neg_entropy_sum(w: np.ndarray) -> float:

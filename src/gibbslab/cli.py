@@ -73,7 +73,6 @@ _BITS = {"type": "string", "pattern": "^[01]+$"}
 _WINDOW = {"type": "object",
            "properties": {"lo": {"type": "integer"}, "hi": {"type": "integer"}},
            "required": ["lo", "hi"], "additionalProperties": False}
-_NLIST = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
 _ILIST = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
 
 _PROVIDER = {"oneOf": [
@@ -116,15 +115,15 @@ def _schema(props: dict, required: list[str], experiment: str | None = None) -> 
 SCHEMAS: dict[tuple[str, str | None], dict] = {
     ("wg-converge", "probe"): _schema({
         "rho": _NUM, "m": {"type": "integer"}, "omega": _BITS,
-        "n_range": _NLIST, "target": {"enum": [0, 1]},
+        "n_range": _ILIST, "target": {"enum": [0, 1]},
         "tol": {"type": "number"}, "stability_window": {"type": "integer"}},
         ["rho", "m", "omega", "n_range"], "probe"),
     ("wg-converge", "glued"): _schema({
         "rho": _NUM, "m": {"type": "integer"}, "omega": _BITS, "eta": _BITS,
-        "n_list": _NLIST},
+        "n_list": _ILIST},
         ["rho", "m", "omega", "eta", "n_list"], "glued"),
     ("wg-badsets", "frequency"): _schema({
-        "k_list": _NLIST, "samples": {"type": "integer", "minimum": 1}},
+        "k_list": _ILIST, "samples": {"type": "integer", "minimum": 1}},
         ["k_list", "samples"], "frequency"),
     ("wg-badsets", "correlation_hist"): _schema({
         "samples": {"type": "integer", "minimum": 1},
@@ -132,7 +131,7 @@ SCHEMAS: dict[tuple[str, str | None], dict] = {
         ["samples", "depth"], "correlation_hist"),
     ("wg-badsets", "tail_fraction"): _schema({
         "rho": _NUM, "m": {"type": "integer"}, "omega": _BITS,
-        "eps": {"type": "number"}, "n_list": _NLIST,
+        "eps": {"type": "number"}, "n_list": _ILIST,
         "samples": {"type": "integer", "minimum": 1},
         "tail_depth": {"type": "integer", "minimum": 1}},
         ["rho", "m", "omega", "eps", "n_list", "samples"], "tail_fraction"),

@@ -2,11 +2,12 @@
 
 Probabilities travel in one of two modes.  Rational mode hands out
 `fractions.Fraction`s (forward recursions step integer numerators over a
-common denominator inside, see `integer_scaled`, and whole-window
-distributions share each prefix's step, see `prefix_walk`), so marginalization
+common denominator inside, see `integer_scaled`), so marginalization
 identities hold exactly and tests can compare with `==`.  Float mode uses
-IEEE doubles; long products go through log space.  Mode is carried by the
-values themselves (Fraction vs float), not by a global switch.
+IEEE doubles.  Mode is carried by the values themselves (Fraction vs float),
+not by a global switch.  Each measure is one step function over a window's
+sites (`MeasureProvider._walker`): `prob` folds it along one word, and a
+whole-window distribution walks it down shared prefixes (`prefix_walk`).
 """
 from __future__ import annotations
 
@@ -20,9 +21,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 Prob = Fraction | float
-
-# float-mode products longer than this are accumulated in log space
-LOG_PRODUCT_CUTOFF = 64
 
 FLOAT_TOL = 1e-12
 
@@ -111,18 +109,17 @@ def scaled_quotients(nums: Mapping, den: int | float) -> dict:
     return {k: v / den for k, v in nums.items()}
 
 
-def prefix_walk(symbols: Sequence[int], n: int, start,
-                step) -> list[tuple[tuple[int, ...], object]]:
-    """(word, state) for the words of length n over symbols, in lexicographic
-    order, where a word's state is step(...step(start, 0, w[0])..., n - 1,
-    w[n - 1]).  The walk goes one site at a time, so each prefix's state is
-    computed once and shared by every word that extends it.  A step that
-    returns None drops that prefix and all its extensions."""
+def prefix_walk(symbols: Sequence[int], n: int, start, step, leaf) -> dict:
+    """{word: leaf(state)} for the words of length n over symbols, in
+    lexicographic order, where a word's state is step(...step(start, 0,
+    w[0])..., n - 1, w[n - 1]).  The walk goes one site at a time, so each
+    prefix's state is computed once and shared by every word that extends
+    it.  A step that returns None drops that prefix and all its extensions."""
     level = [((), start)]
     for i in range(n):
         level = [(word + (s,), nxt) for word, state in level for s in symbols
                  if (nxt := step(state, i, s)) is not None]
-    return level
+    return {word: leaf(state) for word, state in level}
 
 
 def format_prob(x: Prob) -> str:
@@ -305,10 +302,10 @@ def glue(inner: Configuration, middle: Configuration | None,
 class MeasureProvider:
     """Exact cylinder-probability source.
 
-    Subclasses answer `prob` for any legal cylinder, in the arithmetic their
-    parameters were given in, and `_scaled` for whole windows.  `stationary`
-    providers accept cylinders at any location; others expose
-    `support_window`.
+    Subclasses give one step function per window, `_walker`, in the
+    arithmetic their parameters were given in; `prob` and `distribution`
+    both walk it.  `stationary` providers accept cylinders at any location;
+    others expose `support_window`.
     """
 
     alphabet: Alphabet
@@ -316,15 +313,33 @@ class MeasureProvider:
     stationary: bool = False
     support_window: Window | None = None
 
-    def prob(self, cfg: Configuration) -> Prob:
+    def _walker(self, window: Window) -> tuple:
+        """(start, step, leaf, den) for the words on the window.
+        step(state, i, s) is the state after symbol s at the window's i-th
+        site, or None once the prefix has no mass; leaf(state) is the word's
+        probability times den.  Exact providers step ints over an int den;
+        the others step floats over a float den."""
         raise NotImplementedError
 
+    def prob(self, cfg: Configuration) -> Prob:
+        self.check_config(cfg)
+        state, step, leaf, den = self._walker(cfg.window)
+        for i, s in enumerate(cfg.values):
+            state = step(state, i, s)
+            if state is None:
+                return scaled_quotient(0, den)
+        return scaled_quotient(leaf(state), den)
+
     def _scaled(self, window: Window) -> tuple[dict, int | float]:
-        """(nums, den): every word on the window, lexicographic, mapped to the
-        numerator of its probability over one common denominator.  Exact
-        providers give ints over an int den; the others give values whose
-        quotient by den is the float `prob` returns for that word."""
-        raise NotImplementedError
+        """(nums, den): every word on the window, lexicographic, mapped to
+        the numerator over den of the probability `prob` gives it, from one
+        walk that computes each prefix's state once; a dropped prefix's
+        words list 0."""
+        start, step, leaf, den = self._walker(window)
+        nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
+        if len(nums) < len(self.alphabet) ** window.size:
+            nums = {w: nums.get(w, 0) for w in self.words(window)}
+        return nums, den
 
     def log_prob(self, cfg: Configuration) -> float:
         p = self.prob(cfg)
@@ -378,38 +393,16 @@ class BernoulliMeasure(MeasureProvider):
         self.exact = all(is_exact(w) for w in ws)
         self.stationary = True
         self.label = label or f"bernoulli{tuple(format_prob(w) for w in ws)}"
+        nums, self._den = integer_scaled(ws, self.exact)
+        self._nums = dict(zip(alphabet.symbols, nums))
 
-    def prob(self, cfg: Configuration) -> Prob:
-        self.check_config(cfg)
-        return self._product(cfg.values)
-
-    def _product(self, word: tuple[int, ...]) -> Prob:
-        ws = [self.weights[v] for v in word]
-        if self.exact:
-            out = Fraction(1)
-            for w in ws:
-                out *= w
-            return out
-        if len(ws) > LOG_PRODUCT_CUTOFF:
-            if any(w == 0 for w in ws):
-                return 0.0
-            return math.exp(math.fsum(math.log(float(w)) for w in ws))
-        out = 1.0
-        for w in ws:
-            out *= float(w)
-        return out
-
-    def _scaled(self, window: Window) -> tuple[dict, int | float]:
-        """Products of integer_scaled weights over den^n; in float mode the
-        weights themselves, multiplied in site order as `prob` does."""
-        n = window.size
-        if not self.exact and n > LOG_PRODUCT_CUTOFF:
-            return {w: self._product(w) for w in self.words(window)}, 1.0  # log space
-        nums, den = integer_scaled(list(self.weights.values()), self.exact)
-        weight = dict(zip(self.weights, nums))
-        leaves = prefix_walk(self.alphabet.symbols, n, 1 if self.exact else 1.0,
-                             lambda acc, i, s: acc * weight[s])
-        return dict(leaves), den ** n
+    def _walker(self, window: Window) -> tuple:
+        """Products of integer_scaled weights over den^n, multiplied in site
+        order; in float mode the weights themselves over 1.0.  A product of
+        weights <= 1 cannot underflow before its final value does."""
+        nums = self._nums
+        return (self._den ** 0, lambda acc, i, s: acc * nums[s], lambda acc: acc,
+                self._den ** window.size)
 
     def log_prob(self, cfg: Configuration) -> float:
         self.check_config(cfg)
@@ -458,25 +451,20 @@ class TableMeasure(MeasureProvider):
         else:
             self._nums, self._den, self._zero = ws, total, 0.0
 
-    def prob(self, cfg: Configuration) -> Prob:
-        self.check_config(cfg)
-        off = cfg.window.lo - self.support_window.lo
-        n = cfg.window.size
-        acc = self._zero
-        for word, w in self._nums.items():
-            if word[off:off + n] == cfg.values:
-                acc += w
-        return scaled_quotient(acc, self._den)
-
-    def _scaled(self, window: Window) -> tuple[dict, int | float]:
-        """The table marginalised onto the window in one pass; each word's
-        weights are added in table order, as `prob` adds them."""
+    def _walker(self, window: Window) -> tuple:
+        """A prefix's state is the table entries that still match it, in
+        table order; a word's numerator adds their weights in that order."""
         off = window.lo - self.support_window.lo
-        cut = slice(off, off + window.size)
-        nums = dict.fromkeys(self.words(window), self._zero)
-        for word, w in self._nums.items():
-            nums[word[cut]] += w
-        return nums, self._den
+
+        def leaf(entries):
+            acc = self._zero
+            for _, w in entries:
+                acc += w
+            return acc
+
+        return (self._nums.items(),
+                lambda entries, i, s: [e for e in entries if e[0][off + i] == s],
+                leaf, self._den)
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,

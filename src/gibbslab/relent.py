@@ -166,6 +166,13 @@ def _rest_groups(words: list, p: list, q: list,
     return out
 
 
+def _mean_gap(groups: list[tuple[int, int, int]], a: int) -> Fraction:
+    """Sum over rest words r of P_rest(r) times r's L1 gap, (a_r / a) g_r /
+    (a_r b_r) = g_r / (a b_r).  A rest word with g_r = 0 adds nothing; that
+    covers a_r = 0 or b_r = 0, where every term of g_r vanishes."""
+    return sum((Fraction(g_r, b_r) for _, b_r, g_r in groups if g_r), Fraction(0)) / a
+
+
 @dataclass(frozen=True)
 class TvIdentityResult:
     lhs: Prob
@@ -180,28 +187,24 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
 
     lam may touch either end of delta or sit strictly inside it; the
     conditioning coordinates are handled as tuples, not intervals.  Requires
-    nu << mu on delta (checked word by word).  Both sides are exact sums, and
-    `equal` reports == on them; they come back as Fractions when both
-    measures are exact, each rounded to float once otherwise.  Both are
-    built from _rest_groups' g_r, so == here checks the bookkeeping, not the
-    identity; the literal per-word formulas in the tests check that.
+    nu << mu on delta (checked word by word).  The sides are exact sums,
+    returned as Fractions when both measures are exact and each rounded to
+    float once otherwise.  Per rest word r, the left side's terms
+    |p_w - q_w p_rest / q_rest| add up to g_r / (a b_r), and the right side's
+    p_rest times the gap is (a_r / a) g_r / (a_r b_r), the same number (both
+    vanish when a_r = 0); so the sum is taken once, rhs is lhs and `equal`
+    holds by construction.  The literal per-word formulas in the tests check
+    the identity itself.
     """
     rest_ix = _rest_positions(delta, lam)
     words, p, a, q, b, exact = _scaled_pair(nu, mu, delta, cap)
     if any(x != 0 and y == 0 for x, y in zip(p, q)):
         raise ZeroProbabilityError(
             "identity needs nu absolutely continuous w.r.t. mu on delta")
-    lhs = rhs = Fraction(0)
-    for a_r, b_r, g_r in _rest_groups(words, p, q, rest_ix):
-        # |p_w - q_w p_rest / q_rest| = |a_w b_r - b_w a_r| / (a b_r), and the
-        # words with q_w = 0 add nothing, as p_w = 0 there
-        if b_r:
-            lhs += Fraction(g_r, a * b_r)
-        if a_r and b_r:
-            rhs += Fraction(a_r, a) * Fraction(g_r, a_r * b_r)
-    if exact:
-        return TvIdentityResult(lhs, rhs, True, lhs == rhs)
-    return TvIdentityResult(float(lhs), float(rhs), False, lhs == rhs)
+    side = _mean_gap(_rest_groups(words, p, q, rest_ix), a)
+    if not exact:
+        side = float(side)
+    return TvIdentityResult(side, side, exact, True)
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,7 @@ def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
         groups = _rest_groups(words, p, q, rest_ix)
         uncovered = any(a_r and not b_r for a_r, b_r, _ in groups)
         gaps = [(g_r, a_r, b_r) for a_r, b_r, g_r in groups if a_r and b_r]
-        # p_rest times the gap is (a_r / a) g_r / (a_r b_r) = g_r / (a b_r)
-        mean = sum((Fraction(g_r, b_r) for g_r, _, b_r in gaps), Fraction(0)) / a
+        mean = _mean_gap(groups, a)
         # int / int rounds once and rounding keeps order, so this is float(max)
         biggest = max((g_r / (a_r * b_r) for g_r, a_r, b_r in gaps), default=0.0)
         if uncovered:

@@ -38,7 +38,6 @@ from .core import (
     format_prob,
     integer_scaled,
     is_exact,
-    prefix_walk,
     scaled_quotient,
 )
 
@@ -293,68 +292,57 @@ class FiniteVolumeMeasure(MeasureProvider):
             mode == "rational")
         self._total = self._forward_sum({})
 
-    def _forward_sum(self, fixed: dict[int, int]) -> int | float:
+    def _forward_sum(self, fixed: dict[int, int], state: tuple = (0, {}),
+                     lo: int = 0) -> int | float:
         """Sum of e^{-H} over all words on [0, m] matching `fixed`, times
-        den^(m/2).
+        den^(m/2), from _forward's state at site lo on.
 
         Every even site past 0 multiplies each path by den: by a weight
         numerator where an interaction term fires, by den itself where none
         does.  So the pass steps ints in rational mode (den is 1.0 in float
         mode), and the scale cancels in the quotient of two sums.
         """
-        m = self.params.m
-        # branch sigma_0 = 0: every term vanishes, weight 1 per word
-        zero_branch = 0
-        if fixed.get(0, 0) == 0:
-            free = sum(1 for i in range(1, m + 1) if i not in fixed)
-            zero_branch = 2 ** free * self._den ** (m // 2)
-        # branch sigma_0 = 1: forward pass over trailing-run states
-        one_branch = 0
-        if fixed.get(0, 1) == 1:
-            one_branch = sum(self._forward({1: 1}, 1, m, fixed).values())
-        return zero_branch + one_branch
+        zero, runs = self._forward(state, lo, self.params.m, fixed)
+        return zero + sum(runs.values())
 
-    def _forward(self, states: dict, lo: int, hi: int, fixed: dict[int, int]) -> dict:
-        """Step the trailing-run states {run length: scaled weight} of the
-        sigma_0 = 1 branch through sites lo..hi; a site listed in `fixed`
-        takes that value, any other takes both."""
+    def _forward(self, state, lo: int, hi: int, fixed: dict[int, int]) -> tuple:
+        """Step the state (zero, runs) through sites lo..hi; a site listed in
+        `fixed` takes that value, any other takes both.  zero is the scaled
+        weight of the sigma_0 = 0 branch, where every term vanishes; runs maps
+        each trailing-run length of the sigma_0 = 1 branch to its scaled
+        weight.  Before site 0 the state is (0, {}), no mass yet; site 0
+        starts both branches."""
         den, weight = self._den, self._weight
+        if lo == 0 <= hi:  # den ** 0 keeps float mode's zero branch a float
+            v = fixed.get(0)
+            state = (den ** 0 if v != 1 else 0), ({1: 1} if v != 0 else {})
+            lo = 1
+        zero, runs = state
         for i in range(lo, hi + 1):
             n, odd = divmod(i, 2)
+            scale = 1 if odd else den
             v = fixed.get(i)
+            zero *= scale if v is not None else 2 * scale
+            if not runs:  # only the sigma_0 = 0 branch carries mass
+                continue
             nxt: dict[int, int | float] = {}
             if v != 1:  # a 0 ends every run
-                nxt[0] = sum(states.values()) * (1 if odd else den)
+                nxt[0] = sum(runs.values()) * scale
             if v != 0:  # a 1 extends every run; U(i) fires if it stays <= n
-                for r, acc in states.items():
+                for r, acc in runs.items():
                     nxt[r + 1] = acc if odd else acc * (weight[n - r - 1] if r < n else den)
-            states = nxt
-        return states
+            runs = nxt
+        return zero, runs
 
-    def _scaled(self, window: Window) -> tuple[dict, int | float]:
-        """_forward_sum of every word on the window, over the total.
-
-        A word's state is (its sigma_0 = 0 branch, the run-length states of
-        its sigma_0 = 1 branch), carried down the window one site at a time,
-        so words share the pass over their common prefix.  Free sites before
-        the window are stepped once for all words; each word then steps
-        through the free sites after it, as _forward_sum does, so every sum
-        is the same int or float.  A branch that site 0 rules out is 0 or
-        carries no states."""
-        m, lo, hi = self.params.m, window.lo, window.hi
-        zero = 2 ** (m - hi + max(lo, 1) - 1) * self._den ** (m // 2)
-
-        def step(state, i, s):
-            site = lo + i
-            if site == 0:
-                return (zero, {}) if s == 0 else (0, {1: 1})
-            branch, states = state
-            return (branch, self._forward(states, site, site, {site: s})) if states else state
-
-        start = (zero, self._forward({1: 1}, 1, lo - 1, {}))
-        return {w: branch + sum(self._forward(states, hi + 1, m, {}).values())
-                for w, (branch, states) in prefix_walk((0, 1), window.size, start, step)
-                }, self._total
+    def _walker(self, window: Window) -> tuple:
+        """_forward stepped once through the free sites before the window,
+        one site per symbol inside it, and per word through the free sites
+        after it, as _forward_sum does, so every sum is the same int or
+        float."""
+        lo = window.lo
+        return (self._forward((0, {}), 0, lo - 1, {}),
+                lambda state, i, s: self._forward(state, lo + i, lo + i, {lo + i: s}),
+                lambda state: self._forward_sum({}, state, window.hi + 1), self._total)
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)

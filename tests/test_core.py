@@ -1,10 +1,11 @@
 """Configuration plumbing, base measures, and the shared probe."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gibbslab import (
     BINARY,
@@ -207,6 +208,36 @@ def test_bernoulli_long_float_products_stay_finite():
     p = nu.prob(om)
     assert p > 0
     assert math.isclose(math.log(p), -200 * math.log(2), rel_tol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(weights=st.sampled_from([(0.3, 0.7), (0.1, 0.9), (1 / 3, 2 / 3), (0.2, 0.5, 0.3)]),
+       n=st.integers(min_value=65, max_value=1000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_bernoulli_long_float_words_are_the_plain_product(weights, n, seed):
+    # the first of the n factors multiplies 1.0 exactly, so the product rounds
+    # n - 1 times: within gamma = (n - 1) u / (1 - (n - 1) u), u = 2^-53, of the
+    # exact product of the weights' dyadic values while that stays normal
+    symbols = tuple(range(len(weights)))
+    nu = BernoulliMeasure(Alphabet(symbols), weights)
+    rnd = random.Random(seed)
+    word = rnd.choices(symbols, weights, k=n)
+    exact = math.prod(Fraction(weights[s]) for s in word)
+    assume(exact >= Fraction(2) ** -1022)
+    p = nu.prob(config(nu.alphabet, 0, word))
+    assert type(p) is float
+    gamma = Fraction(n - 1, 2**53 - (n - 1))
+    assert abs(Fraction(p) - exact) <= gamma * exact
+
+
+def test_bernoulli_long_float_word_with_a_zero_weight_symbol_is_zero():
+    nu = BernoulliMeasure(Alphabet((0, 1, 2)), (0.0, 0.4, 0.6))
+    rnd = random.Random(5)
+    for n in (65, 300, 1000):
+        word = rnd.choices((1, 2), k=n)
+        word[rnd.randrange(n)] = 0
+        p = nu.prob(config(nu.alphabet, 3, word))
+        assert p == 0.0 and type(p) is float
 
 
 def test_bernoulli_rejects_alphabet_mismatch():

@@ -14,6 +14,7 @@ from gibbslab import (
     InteractionParams,
     Rng,
     Tail,
+    Window,
     bad_set_frequency,
     bad_tail_fraction,
     binary_config,
@@ -249,6 +250,21 @@ def test_kernel_validation():
 def test_volume_zero_is_a_fair_flip():
     mu = finite_volume_measure(InteractionParams(Fraction(1, 2), 0), "rational")
     assert mu.prob(binary_config("1", tail=Tail.UNSPECIFIED)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("mode, rho", [("rational", Fraction(1, 2)), ("float", Fraction(1, 2)),
+                                       ("float", 0.5)])
+def test_volume_zero_gives_half_per_symbol_in_its_modes_type(mode, rho):
+    # the sigma_0 = 0 branch must start as a float in float mode: an int start
+    # makes every sum on [0, 0] an int and hands out Fraction(1, 2)
+    mu = finite_volume_measure(InteractionParams(rho, 0), mode)
+    kind = Fraction if mode == "rational" else float
+    got = [mu.prob(config(BINARY, 0, (s,))) for s in (0, 1)]
+    got += [mu.event_prob({0: s}) for s in (0, 1)]
+    got += list(mu.distribution(Window(0, 0)).values())
+    assert got == [Fraction(1, 2)] * 6
+    assert all(type(p) is kind for p in got)
+    assert mu.event_prob({}) == 1 and type(mu.event_prob({})) is kind
 
 
 def test_volume_normalizes_exactly():
