@@ -6,8 +6,9 @@ common denominator inside, see `integer_scaled`), so marginalization
 identities hold exactly and tests can compare with `==`.  Float mode uses
 IEEE doubles.  Mode is carried by the values themselves (Fraction vs float),
 not by a global switch.  Each measure is one step function over a window's
-sites (`MeasureProvider._walker`): `prob` folds it along one word, and a
-whole-window distribution walks it down shared prefixes (`prefix_walk`).
+sites (`MeasureProvider._walker`): `prob` folds it along one word, a
+whole-window distribution walks it down shared prefixes (`prefix_walk`), and
+`regularity_probe` folds it once along a growing word.
 """
 from __future__ import annotations
 
@@ -299,6 +300,29 @@ def glue(inner: Configuration, middle: Configuration | None,
     return Configuration(alphabet, win, tuple(values), tail)
 
 
+def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
+    """num(hi) -> (numerator, den) of the cylinder word[:hi - lo + 1] on
+    [lo, hi], for hi that never decrease.  The provider's step is folded
+    along word once, since start and step depend only on lo; each call
+    checks its window, steps the new sites and closes with the leaf and den
+    of the window that ends at hi."""
+    state = done = None  # done: the sites stepped so far, once started
+
+    def num(hi: int):
+        nonlocal state, done
+        window = Window(lo, hi)
+        provider.check_window(window)
+        start, step, leaf, den = provider._walker(window)
+        if done is None:
+            state, done = start, 0
+        while done < window.size and state is not None:
+            state = step(state, done, word[done])
+            done += 1
+        return (0 if state is None else leaf(state)), den
+
+    return num
+
+
 class MeasureProvider:
     """Exact cylinder-probability source.
 
@@ -318,17 +342,18 @@ class MeasureProvider:
         step(state, i, s) is the state after symbol s at the window's i-th
         site, or None once the prefix has no mass; leaf(state) is the word's
         probability times den.  Exact providers step ints over an int den;
-        the others step floats over a float den."""
+        the others step floats over a float den.
+
+        start and step depend only on window.lo, never on window.hi: a
+        state folded along a word on [lo, hi] is the state of that word's
+        prefixes too, so one fold serves every window that starts at lo
+        (`regularity_probe` closes a growing window with each hi's leaf and
+        den)."""
         raise NotImplementedError
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
-        state, step, leaf, den = self._walker(cfg.window)
-        for i, s in enumerate(cfg.values):
-            state = step(state, i, s)
-            if state is None:
-                return scaled_quotient(0, den)
-        return scaled_quotient(leaf(state), den)
+        return scaled_quotient(*_cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi))
 
     def _scaled(self, window: Window) -> tuple[dict, int | float]:
         """(nums, den): every word on the window, lexicographic, mapped to
@@ -447,24 +472,21 @@ class TableMeasure(MeasureProvider):
         # every weight is exact, else the weights over their float total
         if is_exact(total):
             nums, _ = integer_scaled(list(ws.values()), True)
-            self._nums, self._den, self._zero = dict(zip(ws, nums)), sum(nums), 0
+            self._entries, self._den, self._zero = tuple(zip(ws, nums)), sum(nums), 0
         else:
-            self._nums, self._den, self._zero = ws, total, 0.0
+            self._entries, self._den, self._zero = tuple(ws.items()), total, 0.0
 
     def _walker(self, window: Window) -> tuple:
-        """A prefix's state is the table entries that still match it, in
-        table order; a word's numerator adds their weights in that order."""
-        off = window.lo - self.support_window.lo
-
-        def leaf(entries):
-            acc = self._zero
-            for _, w in entries:
-                acc += w
-            return acc
-
-        return (self._nums.items(),
-                lambda entries, i, s: [e for e in entries if e[0][off + i] == s],
-                leaf, self._den)
+        """A prefix's state is the prefix itself.  A word's numerator is its
+        weight in the table marginalised onto the window, from one pass over
+        the entries that adds each word's weights in table order."""
+        cut = slice(window.lo - self.support_window.lo, window.hi - self.support_window.lo + 1)
+        marginal: dict = {}
+        get, zero = marginal.get, self._zero
+        for w, x in self._entries:
+            key = w[cut]
+            marginal[key] = get(key, zero) + x
+        return (), lambda word, i, s: word + (s,), marginal.__getitem__, self._den
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,
@@ -510,20 +532,38 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
     Verdict is a Cauchy check: converged iff every consecutive gap among the
     last `stability_window + 1` values is within `tol`.  A zero-probability
     conditioning cylinder truncates the sequence and is reported via failed_at.
+
+    Each value is conditional_prob(provider, target, omega on [lo, n]), from
+    one fold of the provider's walker along target + omega and one along
+    omega: the conditioning words are nested prefixes of one omega, so each
+    n only steps its new sites and closes both cylinders.
     """
     lo = target.window.hi + 1
+    given: list[int] = []
+    joint = list(target.values)
+    given_num = _cylinder_fold(provider, lo, given)
+    joint_num = _cylinder_fold(provider, target.window.lo, joint)
     ns: list[int] = []
     values: list[Prob] = []
     failed_at = None
     for n in sorted(n_range):
         if n < lo:
             raise ValueError(f"probe index {n} precedes conditioning window start {lo}")
-        given = omega.restrict(lo, n)
-        try:
-            values.append(conditional_prob(provider, target, given))
-        except ZeroProbabilityError:
+        for i in range(lo + len(given), n + 1):
+            v = omega.value_at(i)  # KeyError past an unspecified tail, as restrict raises
+            given.append(v)
+            joint.append(v)
+        if target.alphabet != omega.alphabet:
+            raise ValueError("alphabet mismatch between glued pieces")
+        if omega.alphabet != provider.alphabet:
+            raise ValueError(f"{provider.label}: alphabet mismatch")
+        g, den_g = given_num(n)
+        if g == 0:
             failed_at = n
             break
+        j, den_j = joint_num(n)
+        values.append(Fraction(j * den_g, g * den_j) if isinstance(den_g, int)
+                      else scaled_quotient(j, den_j) / scaled_quotient(g, den_g))
         ns.append(n)
     tail = values[-(stability_window + 1):]
     converged = (

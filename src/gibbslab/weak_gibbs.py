@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -271,6 +272,12 @@ class FiniteVolumeMeasure(MeasureProvider):
     exact dyadic rational, so marginalization identities hold exactly while
     the weights sit within 1 ulp of the transcendental truth; the pass runs
     on their integer numerators over a common power-of-two denominator.
+
+    Two read-only tables, built once here, shorten every sum to the sites it
+    fixes: `_prefix[lo]`, the state after the free sites 0..lo-1, and
+    `_suffix[i]`, the scaled weight that the free sites i..m add to each
+    branch entering site i.  A sum steps its fixed sites from the prefix
+    state and closes with one dot product against the suffix row (`_close`).
     """
 
     def __init__(self, params: InteractionParams, mode: str = "float",
@@ -290,64 +297,88 @@ class FiniteVolumeMeasure(MeasureProvider):
         self._weight, self._den = integer_scaled(
             [math.exp(-float(_rho_pow(params.rho, e))) for e in range(params.m // 2 + 1)],
             mode == "rational")
-        self._total = self._forward_sum({})
+        prefix = [(0, ())]
+        for i in range(params.m + 1):
+            prefix.append(self._step(prefix[-1], i, None))
+        self._prefix = tuple(prefix)
+        self._suffix = self._suffix_table()
+        self._total = self._close(prefix[1], 1)
 
-    def _forward_sum(self, fixed: dict[int, int], state: tuple = (0, {}),
-                     lo: int = 0) -> int | float:
-        """Sum of e^{-H} over all words on [0, m] matching `fixed`, times
-        den^(m/2), from _forward's state at site lo on.
+    def _step(self, state: tuple, i: int, v: int | None) -> tuple:
+        """The state (zero, runs) after site i holds v, or either symbol if v
+        is None.  zero is the scaled weight of the sigma_0 = 0 branch, where
+        every term vanishes; runs[r] is that of the sigma_0 = 1 paths whose
+        trailing 1-run is r long.  Before site 0 the state is (0, ()), no
+        mass yet; site 0 starts both branches.
 
         Every even site past 0 multiplies each path by den: by a weight
         numerator where an interaction term fires, by den itself where none
         does.  So the pass steps ints in rational mode (den is 1.0 in float
         mode), and the scale cancels in the quotient of two sums.
         """
-        zero, runs = self._forward(state, lo, self.params.m, fixed)
-        return zero + sum(runs.values())
-
-    def _forward(self, state, lo: int, hi: int, fixed: dict[int, int]) -> tuple:
-        """Step the state (zero, runs) through sites lo..hi; a site listed in
-        `fixed` takes that value, any other takes both.  zero is the scaled
-        weight of the sigma_0 = 0 branch, where every term vanishes; runs maps
-        each trailing-run length of the sigma_0 = 1 branch to its scaled
-        weight.  Before site 0 the state is (0, {}), no mass yet; site 0
-        starts both branches."""
-        den, weight = self._den, self._weight
-        if lo == 0 <= hi:  # den ** 0 keeps float mode's zero branch a float
-            v = fixed.get(0)
-            state = (den ** 0 if v != 1 else 0), ({1: 1} if v != 0 else {})
-            lo = 1
+        den = self._den
+        if i == 0:  # den ** 0 keeps float mode's weights floats
+            return (den ** 0 if v != 1 else 0), ((0, den ** 0) if v != 0 else ())
         zero, runs = state
-        for i in range(lo, hi + 1):
+        n, odd = divmod(i, 2)
+        scale = 1 if odd else den
+        zero *= scale if v is not None else 2 * scale
+        if not runs:  # only the sigma_0 = 0 branch carries mass
+            return zero, runs
+        ended = sum(runs) * scale if v != 1 else 0  # a 0 ends every run
+        if v == 0:
+            return zero, (ended,)
+        if not odd:  # a 1 extends every run; U(i) fires if it stays <= n
+            weight = self._weight
+            runs = tuple(acc * (weight[n - r - 1] if r < n else den)
+                         for r, acc in enumerate(runs))
+        return zero, (ended,) + runs
+
+    def _suffix_table(self) -> tuple:
+        """_suffix[i] = (Z, R) for i = 1..m+1: Z is the scaled weight the free
+        sites i..m give one unit of the sigma_0 = 0 branch, R[r] the same for
+        one unit of a run r long entering site i; _suffix[m + 1] is all ones.
+        Built from site m down, by the recursion of _step read backwards."""
+        m, den, weight = self.params.m, self._den, self._weight
+        zero, runs = den ** 0, (den ** 0,) * (m + 2)
+        rows = [(zero, runs)]
+        for i in range(m, 0, -1):
             n, odd = divmod(i, 2)
             scale = 1 if odd else den
-            v = fixed.get(i)
-            zero *= scale if v is not None else 2 * scale
-            if not runs:  # only the sigma_0 = 0 branch carries mass
-                continue
-            nxt: dict[int, int | float] = {}
-            if v != 1:  # a 0 ends every run
-                nxt[0] = sum(runs.values()) * scale
-            if v != 0:  # a 1 extends every run; U(i) fires if it stays <= n
-                for r, acc in runs.items():
-                    nxt[r + 1] = acc if odd else acc * (weight[n - r - 1] if r < n else den)
-            runs = nxt
-        return zero, runs
+            zero *= 2 * scale
+            ended = runs[0] * scale
+            runs = tuple(ended + (runs[r + 1] if odd else
+                                  runs[r + 1] * (weight[n - r - 1] if r < n else den))
+                         for r in range(i + 1))
+            rows.append((zero, runs))
+        rows.append(None)  # no sum closes before site 1
+        return tuple(reversed(rows))
+
+    def _close(self, state: tuple, i: int) -> int | float:
+        """Scaled weight of every word on [0, m] that extends state, the
+        state after sites 0..i-1: one dot product with _suffix[i]."""
+        zero, runs = state
+        z, r = self._suffix[i]
+        return zero * z + sum(map(operator.mul, runs, r))
+
+    def _sum(self, lo: int, values) -> int | float:
+        """Scaled weight of the words whose sites lo, lo + 1, ... hold values
+        (None: either symbol): the fixed sites stepped from _prefix[lo]."""
+        state = self._prefix[lo]
+        for i, v in enumerate(values, lo):
+            state = self._step(state, i, v)
+        return self._close(state, lo + len(values))
 
     def _walker(self, window: Window) -> tuple:
-        """_forward stepped once through the free sites before the window,
-        one site per symbol inside it, and per word through the free sites
-        after it, as _forward_sum does, so every sum is the same int or
-        float."""
-        lo = window.lo
-        return (self._forward((0, {}), 0, lo - 1, {}),
-                lambda state, i, s: self._forward(state, lo + i, lo + i, {lo + i: s}),
-                lambda state: self._forward_sum({}, state, window.hi + 1), self._total)
+        """_step one site per symbol from the window's prefix state, and
+        _close each word after the window."""
+        lo, step = window.lo, self._step
+        return (self._prefix[lo], lambda state, i, s: step(state, lo + i, s),
+                lambda state: self._close(state, window.hi + 1), self._total)
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
-        fixed = {i: cfg.value_at(i) for i in cfg.window.indices()}
-        return scaled_quotient(self._forward_sum(fixed), self._total)
+        return scaled_quotient(self._sum(cfg.window.lo, cfg.values), self._total)
 
     def event_prob(self, fixed: dict[int, int]) -> Prob:
         """Probability that the listed sites (not necessarily contiguous) hold
@@ -357,7 +388,9 @@ class FiniteVolumeMeasure(MeasureProvider):
                 raise ValueError(f"site {i} outside the volume [0,{self.params.m}]")
             if v not in (0, 1):
                 raise ValueError("binary symbols only")
-        return scaled_quotient(self._forward_sum(dict(fixed)), self._total)
+        lo, hi = min(fixed, default=0), max(fixed, default=0)
+        return scaled_quotient(self._sum(lo, [fixed.get(i) for i in range(lo, hi + 1)]),
+                               self._total)
 
 
 def finite_volume_measure(params: InteractionParams, mode: str = "float",

@@ -1,24 +1,30 @@
 """Literal-enumeration references against the fast implementations."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import (
+    BINARY,
     ChannelParams,
     EnumerationCapError,
     FiniteVolumeMeasure,
     InteractionParams,
+    Window,
     block_distribution,
     block_entropy,
     brute_block_entropy,
     brute_channel_cylinder,
     brute_channel_distribution,
     brute_gibbs_conditional,
+    config,
     cylinder_prob,
+    regularity_probe,
 )
+from gibbslab.oracle import ORACLE_VOLUME_CAP, _brute_weight
 
 
 def test_channel_cylinder_agreement_on_all_short_words(std_channel):
@@ -86,6 +92,94 @@ def test_gibbs_conditional_validation():
         brute_gibbs_conditional(params, {0: 2}, 8)
     with pytest.raises(EnumerationCapError):
         brute_gibbs_conditional(params, {0: 1}, 16)
+
+
+# ------------------------------------- finite volume: prefix and suffix tables
+
+def _volume_queries(m, rnd, count):
+    """count (window, word on it, event) triples."""
+    for _ in range(count):
+        lo = rnd.randint(0, m)
+        hi = rnd.randint(lo, m)
+        word = tuple(rnd.getrandbits(1) for _ in range(hi - lo + 1))
+        sites = rnd.sample(range(m + 1), rnd.randint(1, min(3, m + 1)))
+        yield Window(lo, hi), word, {i: rnd.getrandbits(1) for i in sites}
+
+
+@pytest.mark.parametrize("m, count", [(0, 4), (2, 12), (12, 2)])
+def test_volume_sums_match_the_gibbs_oracle(m, count):
+    """prob, event_prob and distribution, each stepped from a stored prefix
+    state and closed by a suffix row, against full enumeration."""
+    params = InteractionParams(Fraction(1, 3), m)
+    mu = FiniteVolumeMeasure(params, "rational")
+    for window, word, fixed in _volume_queries(m, random.Random(m), count):
+        got = mu.prob(config(BINARY, window.lo, word))
+        assert type(got) is Fraction
+        assert got == brute_gibbs_conditional(params, dict(zip(window.indices(), word)), m)
+        assert mu.event_prob(fixed) == brute_gibbs_conditional(params, fixed, m)
+    for w, p in mu.distribution(Window(m, m)).items():
+        assert p == brute_gibbs_conditional(params, {m: w[0]}, m)
+    if m <= 2:
+        for w, p in mu.distribution(Window(0, m)).items():
+            assert p == brute_gibbs_conditional(params, dict(enumerate(w)), m)
+
+
+def test_volume_twenty_sums_match_the_oracle_weights():
+    """m = 20 is past the oracle's enumeration cap, so its literal weights
+    check the sums up to the partition function Z: sigma_0 = 0 words weigh
+    1 each, so P(sigma_0 = 0) = 2^20 / Z, and a sum over free sites must be
+    the sum of their oracle weights times P(sigma_0 = 0) / 2^20."""
+    m = 20
+    assert m > ORACLE_VOLUME_CAP
+    params = InteractionParams(Fraction(1, 2), m)
+    mu = FiniteVolumeMeasure(params, "rational")
+    per_weight = mu.event_prob({0: 0}) / 2 ** m
+    rnd = random.Random(20)
+    for _ in range(20):
+        word = (1,) + tuple(rnd.getrandbits(1) for _ in range(m))
+        assert mu.prob(config(BINARY, 0, word)) == _brute_weight(params, word) * per_weight
+    head = (1, 1, 0, 1, 1, 1, 0, 1, 1, 1)  # sites 0..9; 2^11 free tails close it
+    tails = itertools.product((0, 1), repeat=m + 1 - len(head))
+    assert mu.prob(config(BINARY, 0, head)) == \
+        sum(_brute_weight(params, head + t) for t in tails) * per_weight
+    # an event with free sites before and between its fixed ones
+    fixed = {6: 0, 12: 1, 13: 1, 16: 1, 17: 1, 18: 1, 19: 1, 20: 1}
+    free = [i for i in range(m + 1) if i not in fixed]
+
+    def weight(bits):
+        sigma = fixed | dict(zip(free, bits))
+        return _brute_weight(params, tuple(sigma[i] for i in range(m + 1)))
+
+    total = sum(weight(bits) for bits in itertools.product((0, 1), repeat=len(free)))
+    assert mu.event_prob(fixed) == total * per_weight
+    assert sum(mu.distribution(Window(0, 3)).values()) == 1
+
+
+@pytest.mark.parametrize("m", [0, 2, 12, 20])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_volume_empty_event_is_certain_in_the_modes_type(m, mode):
+    rho = Fraction(1, 2) if mode == "rational" else 0.5
+    got = FiniteVolumeMeasure(InteractionParams(rho, m), mode).event_prob({})
+    assert got == 1 and type(got) is (Fraction if mode == "rational" else float)
+
+
+def _immutable(x):
+    if isinstance(x, tuple):
+        return all(_immutable(v) for v in x)
+    return x is None or type(x) in (int, float)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_volume_tables_are_immutable_and_queries_leave_them_alone(mode):
+    params = InteractionParams(Fraction(1, 3) if mode == "rational" else 1 / 3, 10)
+    mu, fresh = FiniteVolumeMeasure(params, mode), FiniteVolumeMeasure(params, mode)
+    assert _immutable(mu._prefix) and _immutable(mu._suffix)
+    for window, word, fixed in _volume_queries(10, random.Random(5), 30):
+        mu.prob(config(BINARY, window.lo, word))
+        mu.event_prob(fixed)
+        mu.distribution(window)
+    regularity_probe(mu, config(BINARY, 0, (1,)), config(BINARY, 1, (1, 0) * 5), range(1, 11))
+    assert (mu._prefix, mu._suffix, mu._total) == (fresh._prefix, fresh._suffix, fresh._total)
 
 
 def test_block_entropy_agreement(std_channel):

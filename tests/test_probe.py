@@ -1,0 +1,190 @@
+"""`regularity_probe` against a literal per-n `conditional_prob` loop.
+
+The probe folds each provider's step function once along target + omega
+and once along omega, and closes every requested n from those folds.  The
+loop below is the definition it must reproduce: the same `ProbeResult`
+(values `==` and of the same type, so float values carry the same bits),
+or the same exception with the same message.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gibbslab import (
+    BINARY,
+    Alphabet,
+    BernoulliMeasure,
+    BitShiftMeasure,
+    ChannelParams,
+    FiniteVolumeMeasure,
+    InteractionParams,
+    ProbeResult,
+    Tail,
+    Window,
+    ZeroProbabilityError,
+    conditional_prob,
+    config,
+    regularity_probe,
+)
+from gibbslab.core import TableMeasure
+
+
+def literal_probe(provider, target, omega, n_range, tol=1e-6, stability_window=4):
+    lo = target.window.hi + 1
+    ns, values, failed_at = [], [], None
+    for n in sorted(n_range):
+        if n < lo:
+            raise ValueError(f"probe index {n} precedes conditioning window start {lo}")
+        try:
+            values.append(conditional_prob(provider, target, omega.restrict(lo, n)))
+        except ZeroProbabilityError:
+            failed_at = n
+            break
+        ns.append(n)
+    tail = values[-(stability_window + 1):]
+    converged = (failed_at is None and len(tail) >= 2
+                 and all(abs(float(a) - float(b)) <= tol for a, b in zip(tail, tail[1:])))
+    return ProbeResult(tuple(ns), tuple(values), converged,
+                       values[-1] if converged else None, failed_at)
+
+
+def outcome(probe, *args):
+    try:
+        res = probe(*args)
+    except Exception as e:  # the probe must raise what the loop raises
+        return type(e), str(e)
+    return res, [type(v) for v in res.values]
+
+
+def assert_same(provider, target, omega, n_range):
+    want = outcome(literal_probe, provider, target, omega, n_range)
+    assert outcome(regularity_probe, provider, target, omega, n_range) == want
+    return want[0]
+
+
+def _table(exact):
+    # weights on [0, 5]; every word with 1s at sites 1 and 2 has weight 0
+    weights = {w: 0 if w[1] == w[2] == 1 else 1 + sum(w) + 3 * w[0]
+               for w in itertools.product((0, 1), repeat=6)}
+    if not exact:
+        weights = {w: v / 7 for w, v in weights.items()}
+    return TableMeasure(BINARY, Window(0, 5), weights)
+
+
+def _channel(exact):
+    half, eps = (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4)
+    return BitShiftMeasure(ChannelParams(2, 3, half if exact else (0.5, 0.5),
+                                         eps if exact else float(eps)))
+
+
+def _volume(exact):
+    return FiniteVolumeMeasure(InteractionParams(Fraction(1, 3) if exact else 1 / 3, 8),
+                               "rational" if exact else "float")
+
+
+def _bernoulli(exact):
+    w = (Fraction(1, 3), Fraction(2, 3))
+    return BernoulliMeasure(BINARY, w if exact else tuple(map(float, w)))
+
+
+PROVIDERS = {"bernoulli": _bernoulli, "table": _table, "channel": _channel,
+             "volume": _volume}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("family", sorted(PROVIDERS))
+@pytest.mark.parametrize("n_range", [range(1, 6), [5, 2, 2, 3], [4, 1, 4, 5, 1], [3], []])
+def test_probe_matches_the_literal_loop_on_unsorted_gapped_and_repeated_ranges(
+        family, exact, n_range):
+    provider = PROVIDERS[family](exact)
+    symbols = provider.alphabet.symbols
+    for target_values, omega_values in [((symbols[1],), symbols[2:] + symbols[:2]),
+                                        ((symbols[0], symbols[1]), (symbols[-1],) * 5)]:
+        lo = len(target_values)
+        target = config(provider.alphabet, 0, target_values)
+        omega = config(provider.alphabet, lo, (omega_values * 3)[:6 - lo], Tail.UNSPECIFIED)
+        ns = [n for n in n_range if n >= lo]
+        res = assert_same(provider, target, omega, ns)
+        assert isinstance(res, ProbeResult)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("family", sorted(PROVIDERS))
+def test_probe_rejects_an_index_before_the_conditioning_window(family, exact):
+    provider = PROVIDERS[family](exact)
+    target = config(provider.alphabet, 0, provider.alphabet.symbols[:2])
+    omega = config(provider.alphabet, 2, provider.alphabet.symbols[:3])
+    assert assert_same(provider, target, omega, [3, 1, 2]) is ValueError
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("family", sorted(PROVIDERS))
+def test_probe_raises_where_an_unspecified_tail_ends(family, exact):
+    provider = PROVIDERS[family](exact)
+    target = config(provider.alphabet, 0, provider.alphabet.symbols[:1])
+    omega = config(provider.alphabet, 1, provider.alphabet.symbols[1:3], Tail.UNSPECIFIED)
+    assert assert_same(provider, target, omega, [1, 2, 4]) is KeyError
+    # a zero-fill tail reads 0 past the window instead
+    filled = config(provider.alphabet, 1, provider.alphabet.symbols[1:3], Tail.ZERO_FILL)
+    assert isinstance(assert_same(provider, target, filled, [1, 2, 4]), ProbeResult)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_probe_stops_at_a_zero_mass_word_before_passing_a_tables_support(exact):
+    table = _table(exact)
+    target = config(BINARY, 0, (1,))
+    blocked = config(BINARY, 1, (1, 1) + (0,) * 7, Tail.UNSPECIFIED)
+    res = assert_same(table, target, blocked, [1, 2, 9, 3])
+    assert res.failed_at == 2 and res.ns == (1,)
+    # without the zero-mass word the index past the support is an error
+    open_ = config(BINARY, 1, (1,) + (0,) * 8, Tail.UNSPECIFIED)
+    assert assert_same(table, target, open_, [1, 2, 9, 3]) is ValueError
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_probe_on_channel_words_with_forbidden_zero_pairs(exact):
+    channel = _channel(exact)
+    out = channel.alphabet
+    # "00" inside omega: the conditioning cylinder has no mass from n = 3 on
+    res = assert_same(channel, config(out, 0, (2,)), config(out, 1, (3, 0, 0, 2, 2)),
+                      range(1, 6))
+    assert res.failed_at == 3 and len(res.values) == 2
+    # "00" across target and omega: the joint cylinder has none, the value is 0
+    res = assert_same(channel, config(out, 0, (0,)), config(out, 1, (0, 2, 2)), range(1, 4))
+    assert res.failed_at is None and all(v == 0 for v in res.values)
+
+
+def test_probe_rejects_mismatched_alphabets():
+    ternary = Alphabet((0, 1, 2))
+    coin = _bernoulli(True)
+    assert assert_same(coin, config(BINARY, 0, (1,)), config(ternary, 1, (2, 0)),
+                       [1, 2]) is ValueError
+    assert assert_same(coin, config(ternary, 0, (1,)), config(ternary, 1, (2, 0)),
+                       [1, 2]) is ValueError
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_probe_on_a_volume_checks_the_support_of_both_cylinders(exact):
+    volume = _volume(exact)
+    target = config(BINARY, 0, (1,))
+    omega = config(BINARY, 1, (0, 1) * 6, Tail.UNSPECIFIED)
+    assert assert_same(volume, target, omega, [2, 8, 9]) is ValueError
+    shifted = config(BINARY, -1, (0, 1))
+    assert assert_same(volume, shifted, omega, [1, 2]) is ValueError
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(PROVIDERS)), exact=st.booleans(), data=st.data())
+def test_probe_matches_the_literal_loop_on_random_inputs(family, exact, data):
+    provider = PROVIDERS[family](exact)
+    symbols = st.sampled_from(provider.alphabet.symbols)
+    target = data.draw(st.lists(symbols, min_size=1, max_size=2))
+    lo = len(target)
+    omega = data.draw(st.lists(symbols, min_size=1, max_size=8))
+    tail = data.draw(st.sampled_from(list(Tail)))
+    n_range = data.draw(st.lists(st.integers(lo - 1, lo + 9), max_size=6))
+    assert_same(provider, config(provider.alphabet, 0, target),
+                config(provider.alphabet, lo, omega, tail), n_range)
