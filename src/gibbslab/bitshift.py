@@ -51,6 +51,8 @@ from .core import (
 JITTER = (-1, 0, 1)
 BLOCK_ENTROPY_CAP = 12
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
+_PINNED = np.array([0.0, 1.0, 0.0])  # the forward vector of the empty word in jitter state 0
+_PINNED.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -350,27 +352,33 @@ def _neg_entropy_sum(w: np.ndarray) -> float:
     return -float(terms.sum())
 
 
-def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,
-                   block_rows: int = BLOCK_ROWS) -> np.ndarray:
-    """H_1 .. H_n for the word distribution started from forward vector init.
+def _sweep_sums(mats: np.ndarray, init: np.ndarray, n: int,
+                block_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, c, c_log_c) of one depth-first sweep from forward vector init.
 
-    Depth-first batched enumeration: rows are forward vectors of admissible
-    words.  Words up to length n - 2 are materialised, one matmul against the
-    stacked symbol matrices per chunk of rows, zero children pruned.  The
-    last two levels are never materialised: the weights of a row's one- and
-    two-symbol extensions are its products with the column sums C1 of each
-    M_y and C2 of each M_y2 M_y1; zero weights add nothing, so nothing is
-    pruned there.  Rows go through in chunks, so no product holds more than
-    3 * block_rows doubles (or one row's products, if those are more).
-    Traversal order is fixed, so float accumulation is reproducible.
+    Rows are forward vectors of admissible words.  Words up to length n - 2
+    are materialised, one matmul against the stacked symbol matrices per
+    chunk of rows.  A child with no positive entry is pruned, and a child
+    c * e_s with one positive entry is closed, not expanded: its subtree is
+    c times the words from state s, which _closed_levels adds from the pinned
+    levels; c[l] and c_log_c[l] sum c and c log c over the children closed
+    at word length l.  The last two levels are never materialised: the
+    weights of a row's one- and two-symbol extensions are its products with
+    the column sums C1 of each M_y and C2 of each M_y2 M_y1; zero weights add
+    nothing, so nothing is pruned or closed there.  h[m] is -sum of w log w
+    over the length-(m + 1) words of the expanded rows.  Rows go through in
+    chunks, so no product holds more than 3 * block_rows doubles (or one
+    row's products, if those are more).  Traversal order is fixed, so float
+    accumulation is reproducible.
     """
-    acc = np.zeros(n)
+    h, c, c_log_c = np.zeros(n), np.zeros(n), np.zeros(n)
     n_sym = mats.shape[0]
     # step[s, 3y + t] = M_y[t, s]: rows @ step lays each row's children side by side
     step = mats.transpose(2, 0, 1).reshape(3, 3 * n_sym)
-    # c1[s, y] and c2[s, n_sym * y1 + y2]: column s sums of M_y and M_y2 M_y1
+    # c1[s, y] and c2[s, n_sym * y1 + y2]: column s sums of M_y and of
+    # M_y2 M_y1, the latter as (column sums of M_y2) M_y1
     c1 = mats.sum(axis=1).T
-    c2 = np.einsum("bts,asr->rab", mats, mats).reshape(3, n_sym * n_sym)
+    c2 = (mats.transpose(0, 2, 1) @ c1).transpose(1, 0, 2).reshape(3, n_sym * n_sym)
     step_chunk = max(1, block_rows // n_sym)
     tail_chunk = max(1, 3 * block_rows // (n_sym * n_sym))
 
@@ -378,29 +386,78 @@ def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,
         if level >= n - 2:
             for start in range(0, rows.shape[0], tail_chunk):
                 part = rows[start:start + tail_chunk]
-                acc[level] += _neg_entropy_sum(part @ c1)
+                h[level] += _neg_entropy_sum(part @ c1)
                 if level + 1 < n:
-                    acc[level + 1] += _neg_entropy_sum(part @ c2)
+                    h[level + 1] += _neg_entropy_sum(part @ c2)
             return
         for start in range(0, rows.shape[0], step_chunk):
             children = (rows[start:start + step_chunk] @ step).reshape(-1, 3)
             w = children.sum(axis=1)
-            acc[level] += _neg_entropy_sum(w)
-            sweep(children[w > 0.0], level + 1)
+            h[level] += _neg_entropy_sum(w)
+            live = (children > 0.0).sum(axis=1)
+            closed = w[live == 1]
+            c[level + 1] += closed.sum()
+            c_log_c[level + 1] += closed @ np.log(closed)
+            sweep(children[live > 1], level + 1)
 
     sweep(init.reshape(1, 3), 0)
-    return acc
+    return h, c, c_log_c
 
 
-def entropy_levels(params: ChannelParams, n: int,
-                   cap: int = BLOCK_ENTROPY_CAP) -> np.ndarray:
-    """Block entropies H_1..H_n of the stationary output law, in nats."""
+def _closed_levels(sums: tuple[np.ndarray, np.ndarray, np.ndarray], sigma: float,
+                   pinned: np.ndarray | None = None) -> np.ndarray:
+    """H_1..H_n from a sweep's sums, adding each closed row's subtree.
+
+    The words u v below a row c * e_s closed at word length l weigh c P_s(v),
+    and P_s gives the block entropies and masses of the sweep pinned in state
+    0 (the shift bijection of entropy_bound_table), so the row adds
+    c H^pin_j - (c log c) S_j to H_(l + j).  Every state puts the same
+    one-step mass sigma on the outputs (a state only shifts them), so
+    S_j = sigma^j; sigma is 1 only up to how p and eps sum, so it is
+    carried.  pinned is H^pin; None solves the pinned sweep for its own
+    levels, each from the lower ones (l >= 1).  The n <= cap levels are
+    closed on Python floats, which costs less than numpy calls at this size.
+    """
+    h, c, c_log_c = (a.tolist() for a in sums)
+    pin = h if pinned is None else pinned.tolist()
+    for m in range(1, len(h)):
+        h[m] += sum(c[l] * pin[m - l] - c_log_c[l] * sigma ** (m - l + 1)
+                    for l in range(1, m + 1))
+    return np.array(h)
+
+
+def _entropy_sweeps(mats: np.ndarray, init: np.ndarray, n: int,
+                    block_rows: int = BLOCK_ROWS) -> tuple[np.ndarray, np.ndarray]:
+    """(H_1..H_n from forward vector init, H_1..H_n pinned in state 0).
+
+    The pinned sweep runs first and closes on its own lower levels; the sweep
+    from init then closes on the pinned levels.
+    """
+    sigma = float(mats[:, :, 1].sum())  # the one-step mass from state 0
+    pinned = _closed_levels(_sweep_sums(mats, _PINNED, n, block_rows), sigma)
+    return _closed_levels(_sweep_sums(mats, init, n, block_rows), sigma, pinned), pinned
+
+
+def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,
+                   block_rows: int = BLOCK_ROWS) -> np.ndarray:
+    """H_1 .. H_n for the word distribution started from forward vector init."""
+    return _entropy_sweeps(mats, init, n, block_rows)[0]
+
+
+def _check_entropy_depth(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise EnumerationCapError(
             f"block entropy at n={n} exceeds cap {cap} "
-            f"(cost grows like admissible words ~ 5^n)")
+            f"(cost grows like the expanded rows, ~ 3.4^n at k=3)")
+
+
+def entropy_levels(params: ChannelParams, n: int,
+                   cap: int = BLOCK_ENTROPY_CAP) -> np.ndarray:
+    """Block entropies H_1..H_n of the stationary output law, in nats, from
+    the stationary sweep closed on the pinned one (_entropy_sweeps)."""
+    _check_entropy_depth(n, cap)
     init, mats = params._float_model
     return _entropy_sweep(mats, init, n)
 
@@ -419,17 +476,19 @@ class EntropyBoundsRow:
 def entropy_bound_table(params: ChannelParams, n_max: int,
                         cap: int = BLOCK_ENTROPY_CAP) -> tuple[EntropyBoundsRow, ...]:
     """Conditional-entropy bounds bracketing the entropy rate (Cover & Thomas,
-    Thm 4.5.1), from two sweeps.
+    Thm 4.5.1), from the two sweeps of entropy_levels.
 
     upper(n) = H_n - H_{n-1} is nonincreasing and >= h; conditioning on the
     pre-window jitter state S severs the past, so lower(n), the jitter-averaged
-    H(Y_n | Y_1..Y_{n-1}, S), is nondecreasing and <= h.  One sweep started
-    in state 0 gives the average: from state s the first output is
+    H(Y_n | Y_1..Y_{n-1}, S), is nondecreasing and <= h.  The sweep pinned in
+    state 0 gives the average: from state s the first output is
     x_1 + w_1 - s, so s only shifts the first symbol by -s, a bijection on
-    words, and H(Y_1..Y_n | S = s) is the same for every s.
+    words, and H(Y_1..Y_n | S = s) is the same for every s.  The same
+    bijection lets either sweep close a row c * e_s from the pinned levels.
     """
-    levels = entropy_levels(params, n_max, cap=cap)
-    pinned = _entropy_sweep(params._float_model[1], np.array([0.0, 1.0, 0.0]), n_max)
+    _check_entropy_depth(n_max, cap)
+    init, mats = params._float_model
+    levels, pinned = _entropy_sweeps(mats, init, n_max)
     rows = []
     for n in range(1, n_max + 1):
         upper = levels[n - 1] - (levels[n - 2] if n > 1 else 0.0)

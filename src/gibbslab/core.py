@@ -475,17 +475,22 @@ class TableMeasure(MeasureProvider):
             self._entries, self._den, self._zero = tuple(zip(ws, nums)), sum(nums), 0
         else:
             self._entries, self._den, self._zero = tuple(ws.items()), total, 0.0
+        self._marginals: dict[Window, dict] = {}
 
     def _walker(self, window: Window) -> tuple:
         """A prefix's state is the prefix itself.  A word's numerator is its
         weight in the table marginalised onto the window, from one pass over
-        the entries that adds each word's weights in table order."""
-        cut = slice(window.lo - self.support_window.lo, window.hi - self.support_window.lo + 1)
-        marginal: dict = {}
-        get, zero = marginal.get, self._zero
-        for w, x in self._entries:
-            key = w[cut]
-            marginal[key] = get(key, zero) + x
+        the entries that adds each word's weights in table order; the
+        marginal is kept per window, so later queries on it only look up."""
+        marginal = self._marginals.get(window)
+        if marginal is None:
+            cut = slice(window.lo - self.support_window.lo,
+                        window.hi - self.support_window.lo + 1)
+            marginal = self._marginals[window] = {}
+            get, zero = marginal.get, self._zero
+            for w, x in self._entries:
+                key = w[cut]
+                marginal[key] = get(key, zero) + x
         return (), lambda word, i, s: word + (s,), marginal.__getitem__, self._den
 
 

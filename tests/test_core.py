@@ -1,5 +1,6 @@
 """Configuration plumbing, base measures, and the shared probe."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -291,6 +292,25 @@ def test_table_measure_rejects_window_outside_support():
     mu = _two_site_table()
     with pytest.raises(ValueError):
         mu.prob(config(BINARY, 0, [0, 1, 1]))
+
+
+@pytest.mark.parametrize("exact", (True, False))
+def test_table_measure_prob_is_the_literal_filter_and_sum_on_every_cylinder(exact):
+    rnd = random.Random(7)
+    abc = Alphabet((0, 1, 2))
+    support = Window(2, 6)
+    words = list(itertools.product(abc.symbols, repeat=support.size))
+    weights = {w: Fraction(rnd.randint(0, 9), 7) if exact else rnd.random() for w in words}
+    total = sum(weights.values())
+    mu = TableMeasure(abc, support, weights)
+    for _ in range(2):  # the second pass reads the marginals the first one kept
+        for lo in range(support.lo, support.hi + 1):
+            for hi in range(lo, support.hi + 1):
+                cut = slice(lo - support.lo, hi - support.lo + 1)
+                for word in itertools.product(abc.symbols, repeat=hi - lo + 1):
+                    want = sum(v for w, v in weights.items() if w[cut] == word) / total
+                    got = mu.prob(config(abc, lo, word))
+                    assert got == want and type(got) is type(want)
 
 
 def test_table_distribution_matches_generic_enumeration():
