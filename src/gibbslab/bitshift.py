@@ -78,7 +78,7 @@ class ChannelParams:
         if not (0 <= self.eps < Fraction(1, 2)):
             raise ValueError("eps must lie in [0, 1/2)")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(is_exact(w) for w in self.p) and is_exact(self.eps)
 
@@ -181,24 +181,30 @@ def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
     return scaled_quotient(sum(alpha), den0 * den ** len(word))
 
 
-def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
-    """log of the cylinder probability, accumulated with per-step rescaling.
+def _rescaled_log_mass(out, alpha: tuple, mats: Iterable, log):
+    """out plus the log of the mass left after stepping alpha through mats,
+    dividing the vector by its sum z after each _step and adding log z, so
+    long words do not underflow.  Runs on scalars (log is math.log) and on
+    arrays with one entry per sample (log is np.log)."""
+    for m in mats:
+        a0, a1, a2 = _step(m, alpha)
+        z = a0 + a1 + a2
+        out += log(z)
+        alpha = (a0 / z, a1 / z, a2 / z)
+    return out
 
-    Runs the forward recursion of cylinder_prob, dividing the vector by its
-    sum z after each step (after the first step it holds floats) and adding
-    log z, so long words do not underflow; the integer scale of an exact
-    model comes off at the end as log den0 + n log den."""
+
+def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
+    """log of the cylinder probability: _rescaled_log_mass on the forward
+    model of cylinder_prob, after taking an exact model's integer scale off
+    as log den0 + n log den (after the first step the vector holds floats)."""
     word = _check_word(params, y)
     alpha, mats, den0, den = params._forward_model
-    out = -math.log(den0) - len(word) * math.log(den)
-    for v in word:
-        alpha = _step(mats[v], alpha)
-        z = sum(alpha)
-        if z == 0:
-            raise ZeroProbabilityError("inadmissible output word")
-        out += math.log(z)
-        alpha = (alpha[0] / z, alpha[1] / z, alpha[2] / z)
-    return out
+    try:
+        return _rescaled_log_mass(-math.log(den0) - len(word) * math.log(den), alpha,
+                                  map(mats.__getitem__, word), math.log)
+    except ValueError:  # math.log(0): the word's mass died
+        raise ZeroProbabilityError("inadmissible output word") from None
 
 
 @dataclass(frozen=True)
@@ -237,11 +243,11 @@ def is_admissible(params: ChannelParams, y: Sequence[int]) -> AdmissibilityResul
 
 def simulate(params: ChannelParams, n: int, rng: Rng) -> np.ndarray:
     """Sample one output word of length n (input and jitter drawn i.i.d.)."""
-    x, omega = _simulate_pair(params, n, 1, rng.generator())
-    return (x[0] + omega[0][1:] - omega[0][:-1])
+    return _simulate(params, n, 1, rng.generator())[0]
 
 
-def _simulate_pair(params: ChannelParams, n: int, count: int, gen) -> tuple[np.ndarray, np.ndarray]:
+def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
+    """count output words of length n, one per row, drawn from gen."""
     pf = np.array([float(w) for w in params.p])
     x_cdf = np.cumsum(pf)
     jf = np.array([float(params.jitter_weight(w)) for w in JITTER])
@@ -250,7 +256,7 @@ def _simulate_pair(params: ChannelParams, n: int, count: int, gen) -> tuple[np.n
     x = params.d + np.searchsorted(x_cdf, u, side="right").clip(max=len(pf) - 1)
     u = gen.random((count, n + 1))
     w = np.searchsorted(w_cdf, u, side="right").clip(max=2) - 1
-    return x, w
+    return x + w[:, 1:] - w[:, :-1]
 
 
 class BitShiftMeasure(MeasureProvider):
@@ -513,25 +519,19 @@ class SmbEstimate:
 
 def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEstimate:
     """Monte-Carlo entropy-rate estimate: mean of -(1/n) log nu(y) over
-    simulated words.  Samples are drawn in deterministic per-task batches."""
+    simulated words, drawn in deterministic per-task batches.  Each batch
+    runs cylinder_log_prob's loop on the float model in column layout."""
     if n < 1 or samples < 2:
         raise ValueError("need n >= 1 and samples >= 2")
     init, mats = params._float_model
+    flat = mats.reshape(-1, 9).T  # flat[:, y]: the row-major matrix of each symbol in y
     batch = 2048
     vals = []
     for task, start in enumerate(range(0, samples, batch)):
         count = min(batch, samples - start)
-        gen = rng.task_generator(task)
-        x, w = _simulate_pair(params, n, count, gen)
-        y = x + w[:, 1:] - w[:, :-1]
-        alpha = np.tile(init, (count, 1))
-        logp = np.zeros(count)
-        for i in range(n):
-            t = mats[y[:, i]]
-            alpha = np.einsum("bts,bs->bt", t, alpha)
-            z = alpha.sum(axis=1)
-            logp += np.log(z)
-            alpha /= z[:, None]
+        y = _simulate(params, n, count, rng.task_generator(task))
+        alpha = tuple(np.full(count, a) for a in init)
+        logp = _rescaled_log_mass(0.0, alpha, (flat[:, col] for col in y.T), np.log)
         vals.append(-logp / n)
     v = np.concatenate(vals)
     return SmbEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples)),

@@ -355,17 +355,6 @@ class MeasureProvider:
         self.check_config(cfg)
         return scaled_quotient(*_cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi))
 
-    def _scaled(self, window: Window) -> tuple[dict, int | float]:
-        """(nums, den): every word on the window, lexicographic, mapped to
-        the numerator over den of the probability `prob` gives it, from one
-        walk that computes each prefix's state once; a dropped prefix's
-        words list 0."""
-        start, step, leaf, den = self._walker(window)
-        nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
-        if len(nums) < len(self.alphabet) ** window.size:
-            nums = {w: nums.get(w, 0) for w in self.words(window)}
-        return nums, den
-
     def log_prob(self, cfg: Configuration) -> float:
         p = self.prob(cfg)
         if p == 0:
@@ -388,12 +377,20 @@ class MeasureProvider:
         yield from itertools.product(self.alphabet.symbols, repeat=window.size)
 
     def _scaled_distribution(self, window: Window, cap: int) -> tuple[dict, int | float]:
-        """`_scaled` after the cap and support checks."""
-        if len(self.alphabet) ** window.size > cap:
+        """(nums, den) after the cap and support checks: every word on the
+        window, lexicographic, mapped to the numerator over den of the
+        probability `prob` gives it, from one walk that computes each
+        prefix's state once; a dropped prefix's words list 0."""
+        n_words = len(self.alphabet) ** window.size
+        if n_words > cap:
             raise EnumerationCapError(
                 f"{len(self.alphabet)}^{window.size} words exceeds the cap")
         self.check_window(window)
-        return self._scaled(window)
+        start, step, leaf, den = self._walker(window)
+        nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
+        if len(nums) < n_words:
+            nums = {w: nums.get(w, 0) for w in self.words(window)}
+        return nums, den
 
     def distribution(self, window: Window,
                      cap: int = WORD_CAP) -> dict[tuple[int, ...], Prob]:

@@ -70,9 +70,10 @@ def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[li
 def _scaled_pair(nu: MeasureProvider, mu: MeasureProvider, window: Window, cap: int):
     """(words, p, a, q, b, exact): the window's words, and the probabilities
     `distribution` lists for them as int numerators, nu's p over a and mu's q
-    over b.  Every `_scaled` lists all the window's words in lexicographic
-    order, so p and q line up with words.  Callers build one Fraction per
-    rest word, not per word.  exact says whether both measures are exact."""
+    over b.  `_scaled_distribution` lists all the window's words in
+    lexicographic order, so p and q line up with words.  Callers build one
+    Fraction per rest word, not per word.  exact says whether both measures
+    are exact."""
     if nu.alphabet != mu.alphabet:
         raise ValueError(f"{nu.label} and {mu.label} have different alphabets: "
                          f"{nu.alphabet.symbols} and {mu.alphabet.symbols}")

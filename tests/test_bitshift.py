@@ -28,8 +28,8 @@ from gibbslab import (
     simulate,
     smb_estimate,
 )
-from gibbslab.bitshift import JITTER, _entropy_sweep, transition_matrices
-from gibbslab.core import Configuration, Alphabet, binary_config
+from gibbslab.bitshift import JITTER, _entropy_sweep, _simulate, transition_matrices
+from gibbslab.core import Configuration, Alphabet, binary_config, is_exact
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
@@ -78,6 +78,26 @@ def test_params_alphabets_and_weights(std_channel):
         std_channel.jitter_weight(2)
     assert std_channel.exact
     assert not ChannelParams(2, 3, (0.5, 0.5), 0.25).exact
+
+
+def test_exact_is_computed_once_per_instance(monkeypatch):
+    import gibbslab.bitshift as bs
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return is_exact(v)
+
+    exact = ChannelParams(2, 3, HALF, Fraction(1, 4))
+    twin = ChannelParams(2, 3, (0.5, 0.5), 0.25)
+    assert exact == twin and hash(exact) == hash(twin)
+    monkeypatch.setattr(bs, "is_exact", counting)
+    transition_matrices(exact)
+    first = len(calls)
+    transition_matrices(exact)
+    assert first > 0 and len(calls) == first
+    # equal twins keep their own flag
+    assert not twin.exact and exact.exact
 
 
 # ----------------------------------------------------------------- channel
@@ -168,8 +188,12 @@ def test_log_prob_matches_exact_values(std_channel):
         exact = cylinder_prob(std_channel, word)
         assert abs(cylinder_log_prob(std_channel, word)
                    - math.log(float(exact))) < 1e-12
-    with pytest.raises(ZeroProbabilityError):
-        cylinder_log_prob(std_channel, (0, 0))
+    # also when the mass dies a step after the first, and on float weights:
+    # the loop's math.log(0) must surface as ZeroProbabilityError
+    for params in (std_channel, STD_FLOAT):
+        for word in [(0, 0), (2, 0, 0)]:
+            with pytest.raises(ZeroProbabilityError):
+                cylinder_log_prob(params, word)
 
 
 # ------------------------------------------------------------ admissibility
@@ -334,6 +358,23 @@ def test_smb_estimate_quiet_channel_hits_the_rate_exactly():
     est = smb_estimate(quiet_channel(), 64, 128, Rng(2))
     assert abs(est.mean - math.log(2)) < 1e-12
     assert est.stderr < 1e-13
+
+
+@pytest.mark.parametrize("params", [
+    STD_FLOAT,
+    ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
+    ChannelParams(3, 6, (0.1, 0.2, 0.3, 0.4), 0.3),  # p not dyadic
+])
+def test_smb_estimate_is_cylinder_log_prob_on_the_simulated_words(params):
+    # 2060 samples: one full batch of 2048 and one of 12
+    n, rng = 30, Rng(5)
+    got = smb_estimate(params, n, 2060, rng)
+    words = np.concatenate([_simulate(params, n, count, rng.task_generator(task))
+                            for task, count in enumerate((2048, 12))])
+    v = np.array([-cylinder_log_prob(params, w) / n for w in words])
+    mean, stderr = float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
+    assert abs(got.mean - mean) <= 1e-15 * abs(mean)
+    assert abs(got.stderr - stderr) <= 1e-15 * abs(stderr)
 
 
 def test_smb_estimate_validation(std_channel):
