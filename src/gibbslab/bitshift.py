@@ -230,12 +230,9 @@ def is_admissible(params: ChannelParams, y: Sequence[int]) -> AdmissibilityResul
         supports.append(cur)
     # backtrack lexicographically smallest jitter chain
     chain = [min(supports[-1])]
-    for i in range(len(word) - 1, 0, -1):
+    for i in range(len(word) - 1, -1, -1):
         t = chain[-1]
-        s = min(s for s in supports[i] if params.d <= word[i] - t + s <= params.k)
-        chain.append(s)
-    t = chain[-1]
-    chain.append(min(s for s in supports[0] if params.d <= word[0] - t + s <= params.k))
+        chain.append(min(s for s in supports[i] if params.d <= word[i] - t + s <= params.k))
     omega = tuple(reversed(chain))
     x = tuple(word[i] - omega[i + 1] + omega[i] for i in range(len(word)))
     return AdmissibilityResult(True, x, omega)
@@ -253,9 +250,9 @@ def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
     jf = np.array([float(params.jitter_weight(w)) for w in JITTER])
     w_cdf = np.cumsum(jf)
     u = gen.random((count, n))
-    x = params.d + np.searchsorted(x_cdf, u, side="right").clip(max=len(pf) - 1)
+    x = params.d + sum(u >= c for c in x_cdf[:-1])
     u = gen.random((count, n + 1))
-    w = np.searchsorted(w_cdf, u, side="right").clip(max=2) - 1
+    w = sum(u >= c for c in w_cdf[:-1]) - 1
     return x + w[:, 1:] - w[:, :-1]
 
 
@@ -574,37 +571,24 @@ def capacity_search(d: int, k: int, eps: Prob, grid: int = 8, refine: int = 3,
         params = ChannelParams(d, k, p, eps)
         return entropy_bounds(params, n_eval)
 
-    def better(cand, best):
+    def rank(cand):
         # higher midpoint wins; exact ties go to the lexicographically smaller p
-        (pc, (lc, uc)), (pb, (lb, ub)) = cand, best
-        mc, mb = (lc + uc) / 2, (lb + ub) / 2
-        if mc != mb:
-            return mc > mb
-        return pc < pb
+        p, (lower, upper) = cand
+        return -(lower + upper) / 2, p
 
-    best = None
-    for p in sorted(_simplex_grid(parts, grid)):
-        if any(w == 0 for w in p):
-            continue  # zero weights leave input symbols unused; skip
-        cand = (p, evaluate(p))
-        if best is None or better(cand, best):
-            best = cand
-    if best is None:
+    # zero weights leave input symbols unused; skip them
+    interior = [p for p in _simplex_grid(parts, grid) if all(w > 0 for w in p)]
+    if not interior:
         raise ValueError("grid too coarse: no interior point")
+    best = min(((p, evaluate(p)) for p in interior), key=rank)
     step = Fraction(1, grid)
     for _ in range(refine):
         step /= 2
         p0 = best[0]
-        seen = set()
-        for delta in itertools.product((-step, Fraction(0), step), repeat=parts):
-            if sum(delta) != 0:
-                continue
-            q = tuple(a + b for a, b in zip(p0, delta))
-            if any(w <= 0 for w in q) or q in seen:
-                continue
-            seen.add(q)
-            cand = (q, evaluate(q))
-            if better(cand, best):
-                best = cand
+        moves = {tuple(a + b for a, b in zip(p0, delta))
+                 for delta in itertools.product((-step, Fraction(0), step), repeat=parts)
+                 if sum(delta) == 0 and any(delta)}
+        best = min([best] + [(q, evaluate(q)) for q in moves if all(w > 0 for w in q)],
+                   key=rank)
     p, (lower, upper) = best
     return CapacityResult(p, lower, upper, (lower + upper) / 2, n_eval, grid, refine)

@@ -24,10 +24,9 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
-
-import jsonschema
 
 from . import __version__
 from .core import (
@@ -195,6 +194,65 @@ SCHEMAS: dict[tuple[str, str | None], dict] = {
 }
 
 SUBCOMMANDS = sorted({sub for sub, _ in SCHEMAS})
+
+
+# ---------------------------------------------------------------- checking
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "number": (int, float), "integer": (int, float)}
+
+
+def _violation(schema: dict, v, root: dict, path: str = "$"):
+    """First place where v breaks schema, as (JSON path, reason), or None.
+
+    Implements the 16 keywords SCHEMAS uses, with their Draft 2020-12 meaning:
+    a bool is no number and equals neither 0 nor 1, and 1.0 is an integer.
+    tests/test_cli.py holds the verdict to jsonschema's on mutated configs.
+    """
+    if "$ref" in schema:  # always "#/$defs/<name>", and alone in its schema
+        schema = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    t = schema.get("type")
+    if t and not (isinstance(v, _JSON_TYPES[t]) and not isinstance(v, bool) and (
+            t != "integer" or isinstance(v, int) or v.is_integer())):
+        return path, f"{v!r} is not of type {t!r}"
+    if "const" in schema or "enum" in schema:
+        allowed = schema.get("enum", [schema.get("const")])
+        if not any(a == v and isinstance(a, bool) == isinstance(v, bool) for a in allowed):
+            return path, f"{v!r} is not one of {allowed!r}"
+    if "oneOf" in schema:
+        hits = sum(_violation(s, v, root, path) is None for s in schema["oneOf"])
+        if hits != 1:
+            return path, f"{v!r} matches {hits} of the {len(schema['oneOf'])} allowed forms"
+    if isinstance(v, str) and len(v) < schema.get("minLength", 0):
+        return path, f"{v!r} is shorter than {schema['minLength']}"
+    if isinstance(v, str) and not re.search(schema.get("pattern", ""), v):
+        return path, f"{v!r} does not match {schema['pattern']!r}"
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if v < schema.get("minimum", v):
+            return path, f"{v!r} is less than the minimum of {schema['minimum']}"
+        if v > schema.get("maximum", v):
+            return path, f"{v!r} is greater than the maximum of {schema['maximum']}"
+    if isinstance(v, list) and len(v) < schema.get("minItems", 0):
+        return path, f"{v!r} has fewer than {schema['minItems']} items"
+    for i, x in enumerate(v if isinstance(v, list) and "items" in schema else ()):
+        if found := _violation(schema["items"], x, root, f"{path}[{i}]"):
+            return found
+    if not isinstance(v, dict):
+        return None
+    for k in schema.get("required", ()):
+        if k not in v:
+            return path, f"{k!r} is a required property"
+    for k, x in v.items():
+        at = f"{path}.{k}" if k.isidentifier() else f"{path}[{json.dumps(k)}]"
+        subs = [schema["properties"][k]] if k in schema.get("properties", {}) else []
+        subs += [s for pat, s in schema.get("patternProperties", {}).items()
+                 if re.search(pat, k)]
+        if not subs and schema.get("additionalProperties") is False:
+            return at, f"unexpected property {k!r}"
+        for s in subs:
+            if found := _violation(s, x, root, at):
+                return found
+    return None
 
 
 # ---------------------------------------------------------------- plumbing
@@ -536,10 +594,10 @@ def _validate(subcommand: str, cfg) -> str | None:
             raise UsageError(
                 f"{subcommand} needs \"experiment\" set to one of "
                 f"{sorted(e for e in experiments if e)}")
-    try:
-        jsonschema.validate(cfg, SCHEMAS[(subcommand, exp)])
-    except jsonschema.ValidationError as e:
-        raise UsageError(f"config rejected: {e.message}") from e
+    schema = SCHEMAS[(subcommand, exp)]
+    found = _violation(schema, cfg, schema)
+    if found:
+        raise UsageError("config rejected at {}: {}".format(*found))
     return exp
 
 

@@ -2,10 +2,16 @@
 
 import json
 import math
+import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
-from gibbslab.cli import main
+from gibbslab.cli import SCHEMAS, _JSON_TYPES, _violation, main
 
 
 def write_cfg(tmp_path, name, payload):
@@ -322,3 +328,237 @@ def test_non_finite_json_result_maps_to_exit_three(tmp_path, capsys, monkeypatch
     expect_error(capsys, ["bs-cylinder", "--config", cfg, "--out", str(dest)],
                  3, "numeric-failure")
     assert not dest.exists()
+
+
+# --------------------------------------------------------------- config checking
+# The CLI checks configs with its own walker over SCHEMAS; jsonschema is a
+# test dependency only, and serves here as the walker's independent oracle.
+
+KEYWORDS = {"type", "oneOf", "const", "enum", "pattern", "minLength", "minItems",
+            "minimum", "maximum", "required", "properties", "additionalProperties",
+            "patternProperties", "items", "$ref", "$defs"}
+
+PAIR = {"kind": "product_of_marginals", "of": {"kind": "bitshift", **STD_CHANNEL}}
+GIBBS = {"kind": "weak_gibbs", "rho": "1/2", "m": 6}
+
+# one valid config per (subcommand, experiment), with its optional keys set
+VALID = {
+    ("wg-converge", "probe"): {
+        "experiment": "probe", "rho": "1/8", "m": 12, "omega": "0" * 12,
+        "n_range": [6, 7], "target": 1, "tol": 1e-3, "stability_window": 3},
+    ("wg-converge", "glued"): {
+        "experiment": "glued", "rho": 0.5, "m": 6, "omega": "0101", "eta": "11",
+        "n_list": [2, 3]},
+    ("wg-badsets", "frequency"): {
+        "experiment": "frequency", "k_list": [4, 6], "samples": 500},
+    ("wg-badsets", "correlation_hist"): {
+        "experiment": "correlation_hist", "samples": 10, "depth": 8},
+    ("wg-badsets", "tail_fraction"): {
+        "experiment": "tail_fraction", "rho": "1/2", "m": 6, "omega": "01",
+        "eps": 0.03, "n_list": [2], "samples": 10, "tail_depth": 16},
+    ("bs-cylinder", None): {**STD_CHANNEL, "queries": [{"y": [0, 2], "given": [2]}]},
+    ("bs-badconfig", None): {**STD_CHANNEL, "n_max": 4},
+    ("bs-entropy", "levels"): {**STD_CHANNEL, "experiment": "levels", "n_max": 3,
+                               "cap": 12},
+    ("bs-entropy", "bounds"): {**STD_CHANNEL, "experiment": "bounds", "n_max": 3,
+                               "cap": 1},
+    ("bs-entropy", "smb"): {**STD_CHANNEL, "experiment": "smb", "n": 40, "samples": 64},
+    ("bs-capacity", None): {"d": 2, "k": 3, "eps": "1/4", "grid": 8, "refine": 0,
+                            "n_eval": 5},
+    ("relent", "window"): {"experiment": "window", "nu": {"kind": "bitshift", **STD_CHANNEL},
+                           "mu": PAIR, "window": {"lo": 0, "hi": 2}},
+    ("relent", "density"): {
+        "experiment": "density", "n_max": 3, "lo": 1, "mu": {"kind": "fair_coin"},
+        "nu": {"kind": "bernoulli", "alphabet": [0, 1], "weights": ["1/4", 0.75]}},
+    ("relent", "tv_identity"): {"experiment": "tv_identity", "nu": GIBBS, "mu": PAIR,
+                                "lam": {"lo": 0, "hi": 0}, "delta": {"lo": 0, "hi": 6}},
+    ("relent", "conditional_gap"): {
+        "experiment": "conditional_gap", "nu": GIBBS, "lam": {"lo": 0, "hi": 1},
+        "n_max": 3, "mu": {"kind": "product_of_marginals", "of": GIBBS}},
+    ("oracle", "channel_cylinder"): {**STD_CHANNEL, "experiment": "channel_cylinder",
+                                     "y": [0, 2, 2]},
+    ("oracle", "channel_distribution"): {**STD_CHANNEL,
+                                         "experiment": "channel_distribution", "n": 2},
+    ("oracle", "gibbs_conditional"): {"experiment": "gibbs_conditional", "rho": "1/2",
+                                      "m": 4, "fixed": {"0": 1, "3": 0}},
+    ("oracle", "block_entropy"): {**STD_CHANNEL, "experiment": "block_entropy", "n": 3},
+}
+
+
+def subschemas(schema):
+    """schema and every schema nested inside it."""
+    yield schema
+    for key, value in schema.items():
+        if key in ("properties", "patternProperties", "$defs"):
+            for sub in value.values():
+                yield from subschemas(sub)
+        elif key == "items":
+            yield from subschemas(value)
+        elif key == "oneOf":
+            for sub in value:
+                yield from subschemas(sub)
+
+
+def parts(value):
+    """value and every list item and object value nested inside it."""
+    yield value
+    if isinstance(value, dict):
+        value = list(value.values())
+    for sub in value if isinstance(value, list) else ():
+        yield from parts(sub)
+
+
+NAMES = sorted({name for schema in SCHEMAS.values() for sub in subschemas(schema)
+                for name in sub.get("properties", {})}) + ["bogus", "0", "12", "x y"]
+# swapped-in values: JSON edge cases, and every piece of the valid configs,
+# which keeps a share of the mutated configs valid
+EDGE_VALUES = [True, False, None, 0, 1, -1, 1.0, 2.5, 13, 1e300, "", "x", "1/2", "01",
+               [], {}, [True], [1.0], {"lo": 0, "hi": True}, {"0": True}]
+PIECES = [piece for cfg in VALID.values() for piece in parts(cfg)]
+
+
+def random_value(rnd, depth=0):
+    """An edge value or a piece of a valid config, or now and then a small
+    list or object of them."""
+    r = rnd.random()
+    if depth < 2 and r < 0.1:
+        return [random_value(rnd, depth + 1) for _ in range(rnd.randrange(3))]
+    if depth < 2 and r < 0.2:
+        return {rnd.choice(NAMES): random_value(rnd, depth + 1)
+                for _ in range(rnd.randrange(3))}
+    return rnd.choice(EDGE_VALUES if r < 0.6 else PIECES)
+
+
+def mutated(rnd, node):
+    """node after one random edit somewhere inside it: a dropped key or item,
+    an added one, or a value swapped for another."""
+    if isinstance(node, dict) and node and rnd.random() < 0.5:
+        key = rnd.choice(sorted(node))
+        return {**node, key: mutated(rnd, node[key])}
+    if isinstance(node, list) and node and rnd.random() < 0.5:
+        i = rnd.randrange(len(node))
+        return node[:i] + [mutated(rnd, node[i])] + node[i + 1:]
+    edit = rnd.choice(("drop", "add", "swap"))
+    if edit == "drop" and isinstance(node, dict) and node:
+        key = rnd.choice(sorted(node))
+        return {k: v for k, v in node.items() if k != key}
+    if edit == "drop" and isinstance(node, list) and node:
+        i = rnd.randrange(len(node))
+        return node[:i] + node[i + 1:]
+    if edit == "add" and isinstance(node, dict):
+        return {**node, rnd.choice(NAMES): random_value(rnd)}
+    if edit == "add" and isinstance(node, list):
+        return node + [random_value(rnd)]
+    return random_value(rnd)
+
+
+def test_every_schema_has_a_valid_example():
+    assert set(VALID) == set(SCHEMAS)
+    for key, cfg in VALID.items():
+        assert _violation(SCHEMAS[key], cfg, SCHEMAS[key]) is None, key
+
+
+def test_schemas_are_valid_draft_2020_12():
+    for schema in SCHEMAS.values():
+        Draft202012Validator.check_schema(schema)
+
+
+def test_schemas_use_only_the_checked_keywords():
+    for schema in SCHEMAS.values():
+        for sub in subschemas(schema):
+            assert set(sub) <= KEYWORDS, set(sub) - KEYWORDS
+            assert sub.get("type", "object") in _JSON_TYPES
+            if "$ref" in sub:  # the walker resolves only a lone local $ref
+                assert set(sub) == {"$ref"} and sub["$ref"].startswith("#/$defs/")
+            assert not {"const", "enum"} <= set(sub)
+            assert sub.get("additionalProperties", False) is False
+
+
+# Draft 2020-12 semantics the walker must keep, including some that no
+# mutation of SCHEMAS can tell apart: its oneOf forms and its anchored patterns
+EDGE_CASES = [  # schema, value, valid
+    ({"type": "integer"}, 1.0, True),
+    ({"type": "integer"}, True, False),
+    ({"type": "number"}, False, False),
+    ({"enum": [0, 1]}, True, False),
+    ({"enum": [0, 1]}, 1.0, True),
+    ({"const": 1}, True, False),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1, False),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 0.5, True),
+    ({"pattern": "[01]"}, "x1y", True),
+    ({"minimum": 1, "maximum": 12}, 1, True),
+    ({"minimum": 1, "maximum": 12}, 12, True),
+    ({"minimum": 1, "maximum": 12}, 13, False),
+    ({"minimum": 1, "minLength": 1, "minItems": 1}, 0.5, False),
+    ({"minimum": 1, "minLength": 1, "minItems": 1}, "0", True),
+    ({"properties": {"a": {"type": "string"}},
+      "patternProperties": {"^a$": {"minLength": 2}}}, {"a": "x"}, False),
+    ({"$defs": {"n": {"type": "integer"}}, "items": {"$ref": "#/$defs/n"}}, [1, "2"], False),
+]
+
+
+@pytest.mark.parametrize("schema, value, valid", EDGE_CASES)
+def test_checker_keeps_draft_2020_12_edge_cases(schema, value, valid):
+    assert Draft202012Validator(schema).is_valid(value) is valid
+    assert (_violation(schema, value, schema) is None) is valid
+
+
+@pytest.mark.parametrize("key", list(VALID), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_checker_agrees_with_jsonschema_on_mutated_configs(key):
+    schema = SCHEMAS[key]
+    oracle = Draft202012Validator(schema)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rnd = random.Random(seed)  # hypothesis draws the seed, not each edit
+        for _ in range(10):
+            cfg = VALID[key]
+            for _ in range(rnd.choice((1, 1, 2, 3))):
+                cfg = mutated(rnd, cfg)
+            found = _violation(schema, cfg, schema)
+            assert (found is None) == oracle.is_valid(cfg), (cfg, found)
+    check()
+
+
+def test_rejection_names_the_json_path(tmp_path, capsys):
+    cases = [
+        ("bs-cylinder", {**STD_CHANNEL, "queries": [{"y": [2]}, {"y": []}]},
+         "$.queries[1].y", "[]"),
+        ("bs-cylinder", {**STD_CHANNEL, "queries": [{"y": [0, 2.5]}]},
+         "$.queries[0].y[1]", "2.5"),
+        ("bs-badconfig", {**STD_CHANNEL, "p": ["1/2", True], "n_max": 3}, "$.p[1]", "True"),
+        ("bs-badconfig", {**STD_CHANNEL, "n_max": 3, "bogus": 1}, "$.bogus", "bogus"),
+        ("bs-badconfig", STD_CHANNEL, "$", "n_max"),
+        ("relent", {**VALID[("relent", "window")], "window": {"lo": 0, "hi": "2"}},
+         "$.window.hi", "'2'"),
+        ("oracle", {**VALID[("oracle", "gibbs_conditional")], "fixed": {"0": 1, "2": 2}},
+         '$.fixed["2"]', "2"),
+    ]
+    for subcommand, payload, path, shown in cases:
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        rec = expect_error(capsys, [subcommand, "--config", cfg], 1, "invalid-config")
+        assert rec["message"].startswith(f"config rejected at {path}: "), rec["message"]
+        assert shown in rec["message"].split(": ", 1)[1]
+
+
+STACK = ("jsonschema", "referencing", "rpds", "attrs", "jsonschema_specifications")
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    good = write_cfg(tmp_path, "good.json", {**STD_CHANNEL, "n_max": 2})
+    bad = write_cfg(tmp_path, "bad.json", {**STD_CHANNEL, "n_max": 0})
+    out = str(tmp_path / "table.csv")
+    script = textwrap.dedent(f"""
+        import sys
+        import gibbslab.cli as cli
+        print(sorted(m for m in sys.modules if m.split(".")[0] in {STACK!r}))
+        sys.modules["jsonschema"] = None  # any later import of it raises
+        print(cli.main(["bs-badconfig", "--config", {good!r}, "--out", {out!r}]))
+        print(cli.main(["bs-badconfig", "--config", {bad!r}]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.splitlines() == ["[]", "0", "1"], proc.stderr
+    assert json.loads(proc.stderr)["message"].startswith("config rejected at $.n_max: 0 ")
+    assert "n_times_cond" in (tmp_path / "table.csv").read_text()
