@@ -220,9 +220,17 @@ def _violation(schema: dict, v, root: dict, path: str = "$"):
         if not any(a == v and isinstance(a, bool) == isinstance(v, bool) for a in allowed):
             return path, f"{v!r} is not one of {allowed!r}"
     if "oneOf" in schema:
-        hits = sum(_violation(s, v, root, path) is None for s in schema["oneOf"])
+        found = [_violation(s, v, root, path) for s in schema["oneOf"]]
+        hits = found.count(None)
+        if hits == 0 and isinstance(v, dict) and "kind" in v:
+            # report a value that fails every form inside the one form its
+            # "kind" names, if exactly one does
+            named = [f for s, f in zip(schema["oneOf"], found)
+                     if s.get("properties", {}).get("kind") == {"const": v["kind"]}]
+            if len(named) == 1:
+                return named[0]
         if hits != 1:
-            return path, f"{v!r} matches {hits} of the {len(schema['oneOf'])} allowed forms"
+            return path, f"{v!r} matches {hits} of the {len(found)} allowed forms"
     if isinstance(v, str) and len(v) < schema.get("minLength", 0):
         return path, f"{v!r} is shorter than {schema['minLength']}"
     if isinstance(v, str) and not re.search(schema.get("pattern", ""), v):

@@ -18,7 +18,6 @@ the conditional of the density e^{-H} against the fair-coin measure.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -226,6 +225,17 @@ def _check_tail(tail: Configuration, name: str) -> None:
         raise ValueError(f"{name} must be a binary configuration")
 
 
+def _bracket(params: InteractionParams, energy: int | float,
+             tb: Prob) -> tuple[float, float]:
+    """(gamma(1 | tail), radius) from the truncated energy's numerator and a
+    bound tb on the rest: the midpoint and half-width of the interval the
+    logistic maps [H_{<=m}, H_{<=m} + tb] to."""
+    h = energy / params._weights[1]  # correctly rounded, as float(Fraction) is
+    g_hi = _logistic(h)
+    g_lo = _logistic(h + float(tb))
+    return (g_hi + g_lo) / 2.0, (g_hi - g_lo) / 2.0
+
+
 def _kernel(params: InteractionParams, values: tuple[int, ...],
             zero_fill: bool) -> tuple[float, float]:
     """(gamma(1 | tail), radius) for values = (1,) + tail on sites 0..hi, from
@@ -240,11 +250,8 @@ def _kernel(params: InteractionParams, values: tuple[int, ...],
     hi = len(values) - 1
     depth = params.m if zero_fill or hi >= params.m else hi // 2 * 2
     energy, past, worst = _scan(values, params, depth)
-    h = energy / params._weights[1]  # correctly rounded, as float(Fraction) is
     tb = past if zero_fill else _past_window(params, past, hi, depth, worst + 1)
-    g_hi = _logistic(h)
-    g_lo = _logistic(h + float(tb))
-    return (g_hi + g_lo) / 2.0, (g_hi - g_lo) / 2.0
+    return _bracket(params, energy, tb)
 
 
 def single_site_kernel(params: InteractionParams, symbol: int,
@@ -506,6 +513,15 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
 
     prefix sits on [1, n].  This is the exact finite-volume envelope used to
     sandwich conditional probabilities of the volume-[0, m] measure.
+
+    The 2^(m-n) tails are not scanned one by one.  What a site adds to the
+    scan depends only on the site and the run of 1s ending there, and a
+    tail's kernel only on its final (energy, past) pair.  So the head
+    (1,) + prefix is scanned once, and the set of distinct (run, energy,
+    past) states is stepped through sites n+1..m, each state to both
+    symbols.  States merge only when equal, and equal states receive the
+    same additions in the same site order, so every leaf carries the float
+    bits its tails' own scans would; the max is taken over distinct leaves.
     """
     _check_tail(prefix, "prefix")
     n = prefix.window.hi
@@ -514,13 +530,30 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
     if m - n > 24:
         raise EnumerationCapError(f"2^{m - n} tails is past the enumeration cap")
     head = (1,) + prefix.values
-    ref1, ref_radius = _kernel(params, head, True)  # the zero-filled prefix
+    energy, past, _ = _scan(head, params, params.m)  # the zero-filled prefix
+    ref1, ref_radius = _bracket(params, energy, past)
     ref0 = 1.0 - ref1
-    out0 = out1 = 2 * ref_radius
-    for word in itertools.product((0, 1), repeat=m - n):
-        if not word:
-            continue  # empty tail: glued config equals the zero-filled prefix
-        cur1, cur_radius = _kernel(params, head + word, True)
-        out0 = max(out0, abs((1.0 - cur1) - ref0) + cur_radius + ref_radius)
-        out1 = max(out1, abs(cur1 - ref1) + cur_radius + ref_radius)
-    return {0: out0, 1: out1}
+    run = len(head) - len(bytes(head).rstrip(b"\x01"))  # the 1-run ending at site n
+    weight, _, _ = params._weights
+    depth, rho = params.m, params.rho
+    states = {(run, energy, past)}
+    for i in range(n + 1, m + 1):
+        half = i >> 1
+        step = set()
+        for run, energy, past in states:
+            step.add((0, energy, past))
+            run += 1
+            if i & 1 or run > half:
+                step.add((run, energy, past))
+            elif i <= depth:
+                step.add((run, energy + weight[half - run], past))
+            else:
+                step.add((run, energy, past + _rho_pow(rho, half - run)))
+        states = step
+    # the leaves hold the zero-filled prefix itself (the empty tail if m == n,
+    # else the all-zero tail), so each max is at least 2 * ref_radius
+    leaves = [_bracket(params, energy, past) for energy, past in
+              {(energy, past) for _, energy, past in states}]
+    return {0: max(abs((1.0 - cur1) - ref0) + cur_radius + ref_radius
+                   for cur1, cur_radius in leaves),
+            1: max(abs(cur1 - ref1) + cur_radius + ref_radius for cur1, cur_radius in leaves)}

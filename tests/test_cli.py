@@ -542,6 +542,25 @@ def test_rejection_names_the_json_path(tmp_path, capsys):
         assert shown in rec["message"].split(": ", 1)[1]
 
 
+def test_rejection_inside_a_provider_names_the_value(tmp_path, capsys):
+    bad = {"kind": "bitshift", **STD_CHANNEL, "d": "x"}
+    base = VALID[("relent", "window")]
+    cases = [  # nu, JSON path, reason
+        (bad, "$.nu.d", "'x' is not of type 'integer'"),
+        ({"kind": "product_of_marginals", "of": bad}, "$.nu.of.d",
+         "'x' is not of type 'integer'"),
+        ({"kind": "fair_coin", "extra": 1}, "$.nu.extra", "unexpected property 'extra'"),
+        # no form named by the value's kind: the count is all there is
+        ({"kind": "nope"}, "$.nu", "matches 0 of the 5 allowed forms"),
+        ({"d": 2}, "$.nu", "matches 0 of the 5 allowed forms"),
+    ]
+    for nu, path, reason in cases:
+        cfg = write_cfg(tmp_path, "c.json", {**base, "nu": nu})
+        rec = expect_error(capsys, ["relent", "--config", cfg], 1, "invalid-config")
+        assert rec["message"].startswith(f"config rejected at {path}: "), rec["message"]
+        assert rec["message"].endswith(reason), rec["message"]
+
+
 STACK = ("jsonschema", "referencing", "rpds", "attrs", "jsonschema_specifications")
 
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gibbslab import (
     BINARY,
@@ -33,6 +33,10 @@ from gibbslab import (
 from gibbslab.oracle import _brute_weight
 
 HALF = InteractionParams(Fraction(1, 2), 8)
+RHOS = st.one_of(
+    st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 8), st.integers(1, 8)),
+    st.floats(0.01, 0.99),
+)
 
 
 def test_params_validation():
@@ -436,6 +440,44 @@ def test_enumerated_radius_validation():
         kernel_radius_enumerated(HALF, binary_config("01"), 8)
 
 
+def test_enumerated_radius_runs_at_the_cap():
+    params = InteractionParams(0.5, 40)
+    prefix = binary_config("0110100111010010", lo=1)  # 16 sites: 2^24 tails to m = 40
+    out = kernel_radius_enumerated(params, prefix, 40)
+    ref = {s: single_site_kernel(params, s, prefix).value for s in (0, 1)}
+    rnd = Rng(3).generator()
+    for word in [(1,) * 24, (0, 1) * 12] + rnd.integers(0, 2, size=(20, 24)).tolist():
+        glued = binary_config(prefix.values + tuple(word), lo=1)
+        for s in (0, 1):
+            assert abs(single_site_kernel(params, s, glued).value - ref[s]) <= out[s]
+    with pytest.raises(EnumerationCapError):
+        kernel_radius_enumerated(params, prefix, 41)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rho=RHOS, half_m=st.integers(0, 6),
+       bits=st.lists(st.integers(0, 1), min_size=1, max_size=10).map(tuple),
+       extra=st.integers(0, 10), unspecified=st.booleans())
+@example(rho=Fraction(1, 2), half_m=1, bits=(1, 1, 0, 1), extra=0, unspecified=True)
+@example(rho=0.3, half_m=1, bits=(0, 1, 1), extra=9, unspecified=False)
+@example(rho=Fraction(2, 3), half_m=2, bits=(1, 0, 1, 1, 1), extra=10, unspecified=True)
+def test_enumerated_radius_equals_a_loop_over_every_tail(rho, half_m, bits, extra,
+                                                         unspecified):
+    # volumes past the depth 2 * half_m give the kernels nonzero radii
+    params = InteractionParams(rho, 2 * half_m)
+    prefix = config(BINARY, 1, bits, tail=Tail.UNSPECIFIED if unspecified else Tail.ZERO_FILL)
+    ref = {s: single_site_kernel(params, s, binary_config(bits, lo=1)) for s in (0, 1)}
+    want = {s: 2 * ref[s].radius for s in (0, 1)}
+    for word in itertools.product((0, 1), repeat=extra):
+        if not word:
+            continue
+        glued = binary_config(bits + word, lo=1)
+        for s in (0, 1):
+            cur = single_site_kernel(params, s, glued)
+            want[s] = max(want[s], abs(cur.value - ref[s].value) + cur.radius + ref[s].radius)
+    assert kernel_radius_enumerated(params, prefix, len(bits) + extra) == want
+
+
 def test_params_reject_non_finite_rho():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -452,11 +494,6 @@ def test_float_twin_terms_stay_float_after_exact_ones():
 
 
 # ------------------------------------------------------- one-pass kernel
-
-RHOS = st.one_of(
-    st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 8), st.integers(1, 8)),
-    st.floats(0.01, 0.99),
-)
 
 
 def _literal_correlation_length(omega):
