@@ -338,7 +338,7 @@ def _walker(params: ChannelParams, n: int) -> tuple:
 def block_distribution(params: ChannelParams, n: int,
                        cap: int = 8) -> dict[tuple[int, ...], Prob]:
     """Exact distribution over admissible length-n output words, from one
-    walk that shares each prefix's forward vector and prunes zero ones."""
+    walk that steps each distinct forward vector once and prunes zero ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
@@ -355,9 +355,25 @@ def _neg_entropy_sum(w: np.ndarray) -> float:
     return -float(terms.sum())
 
 
-def _sweep_sums(mats: np.ndarray, init: np.ndarray, n: int,
-                block_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, c, c_log_c) of one depth-first sweep from forward vector init.
+def _sweep_model(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(step, c1, c2), the products a sweep takes of the stacked symbol
+    matrices: rows @ step lays each row's children side by side, and c1 and
+    c2 hold the column sums of each M_y and of each M_y2 M_y1 (see
+    _sweep_sums).  Both sweeps of one _entropy_sweeps call share them."""
+    n_sym = mats.shape[0]
+    # step[s, 3y + t] = M_y[t, s]
+    step = mats.transpose(2, 0, 1).reshape(3, 3 * n_sym)
+    # c1[s, y] and c2[s, n_sym * y1 + y2]: column s sums of M_y and of
+    # M_y2 M_y1, the latter as (column sums of M_y2) M_y1
+    c1 = mats.sum(axis=1).T
+    c2 = (mats.transpose(0, 2, 1) @ c1).transpose(1, 0, 2).reshape(3, n_sym * n_sym)
+    return step, c1, c2
+
+
+def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarray,
+                n: int, block_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, c, c_log_c) of one depth-first sweep from forward vector init,
+    on the _sweep_model of the symbol matrices.
 
     Rows are forward vectors of admissible words.  Words up to length n - 2
     are materialised, one matmul against the stacked symbol matrices per
@@ -375,13 +391,8 @@ def _sweep_sums(mats: np.ndarray, init: np.ndarray, n: int,
     accumulation is reproducible.
     """
     h, c, c_log_c = np.zeros(n), np.zeros(n), np.zeros(n)
-    n_sym = mats.shape[0]
-    # step[s, 3y + t] = M_y[t, s]: rows @ step lays each row's children side by side
-    step = mats.transpose(2, 0, 1).reshape(3, 3 * n_sym)
-    # c1[s, y] and c2[s, n_sym * y1 + y2]: column s sums of M_y and of
-    # M_y2 M_y1, the latter as (column sums of M_y2) M_y1
-    c1 = mats.sum(axis=1).T
-    c2 = (mats.transpose(0, 2, 1) @ c1).transpose(1, 0, 2).reshape(3, n_sym * n_sym)
+    step, c1, c2 = model
+    n_sym = c1.shape[1]
     step_chunk = max(1, block_rows // n_sym)
     tail_chunk = max(1, 3 * block_rows // (n_sym * n_sym))
 
@@ -437,8 +448,9 @@ def _entropy_sweeps(mats: np.ndarray, init: np.ndarray, n: int,
     from init then closes on the pinned levels.
     """
     sigma = float(mats[:, :, 1].sum())  # the one-step mass from state 0
-    pinned = _closed_levels(_sweep_sums(mats, _PINNED, n, block_rows), sigma)
-    return _closed_levels(_sweep_sums(mats, init, n, block_rows), sigma, pinned), pinned
+    model = _sweep_model(mats)
+    pinned = _closed_levels(_sweep_sums(model, _PINNED, n, block_rows), sigma)
+    return _closed_levels(_sweep_sums(model, init, n, block_rows), sigma, pinned), pinned
 
 
 def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,

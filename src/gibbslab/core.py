@@ -7,8 +7,9 @@ identities hold exactly and tests can compare with `==`.  Float mode uses
 IEEE doubles.  Mode is carried by the values themselves (Fraction vs float),
 not by a global switch.  Each measure is one step function over a window's
 sites (`MeasureProvider._walker`): `prob` folds it along one word, a
-whole-window distribution walks it down shared prefixes (`prefix_walk`), and
-`regularity_probe` folds it once along a growing word.
+whole-window distribution walks it one site at a time, stepping each
+distinct state once (`prefix_walk`), and `regularity_probe` folds it once
+along a growing word.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ def as_prob(x) -> Prob:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return x
+        return x + 0.0  # -0.0 becomes 0.0, so equal weights share their bits
     if isinstance(x, str):
         return Fraction(x)  # accepts "3/4", "0.25", "2"
     raise TypeError(f"cannot interpret {x!r} as a probability")
@@ -104,23 +105,41 @@ def scaled_quotient(num: int | float, den: int | float) -> Prob:
 
 
 def scaled_quotients(nums: Mapping, den: int | float) -> dict:
-    """scaled_quotient of every value of nums over one den, keys kept."""
+    """scaled_quotient of every value of nums over one den, keys kept.  For
+    an int den each distinct numerator becomes one Fraction, which every key
+    holding it shares (a window's words hold far fewer distinct numerators
+    than words)."""
     if isinstance(den, int):
-        return {k: Fraction(v, den) for k, v in nums.items()}
+        fracs = {v: Fraction(v, den) for v in set(nums.values())}
+        return {k: fracs[v] for k, v in nums.items()}
     return {k: v / den for k, v in nums.items()}
 
 
 def prefix_walk(symbols: Sequence[int], n: int, start, step, leaf) -> dict:
     """{word: leaf(state)} for the words of length n over symbols, in
     lexicographic order, where a word's state is step(...step(start, 0,
-    w[0])..., n - 1, w[n - 1]).  The walk goes one site at a time, so each
-    prefix's state is computed once and shared by every word that extends
-    it.  A step that returns None drops that prefix and all its extensions."""
-    level = [((), start)]
+    w[0])..., n - 1, w[n - 1]).  A step that returns None drops that prefix
+    and all its extensions.
+
+    The walk goes one site at a time and numbers the distinct states at each
+    site: step runs once per distinct state and symbol, each prefix carries
+    only its state's number, and leaf runs once per distinct final state.
+    States must be hashable, and states that compare equal must be
+    interchangeable (same type and bits), since one stands for all."""
+    # moves[j] lists (suffix, number of the next state) for state j, here
+    # for the empty word's one state and below for each live symbol s, with
+    # suffix (s,).  level holds the (prefix, state number) pairs one site
+    # behind moves, so the last site's words go straight into the result.
+    states, level, moves = [start], [((), 0)], [[((), 0)]]
     for i in range(n):
-        level = [(word + (s,), nxt) for word, state in level for s in symbols
-                 if (nxt := step(state, i, s)) is not None]
-    return {word: leaf(state) for word, state in level}
+        level = [(word + s, k) for word, j in level for s, k in moves[j]]
+        ids: dict = {}
+        moves = [[((s,), ids.setdefault(nxt, len(ids))) for s in symbols
+                  if (nxt := step(state, i, s)) is not None]
+                 for state in states]
+        states = list(ids)
+    leaves = [leaf(state) for state in states]
+    return {word + s: leaves[k] for word, j in level for s, k in moves[j]}
 
 
 def format_prob(x: Prob) -> str:
@@ -344,6 +363,11 @@ class MeasureProvider:
         probability times den.  Exact providers step ints over an int den;
         the others step floats over a float den.
 
+        States are hashable, and states that compare equal can be swapped
+        for each other: same type and bits, so the same steps and leaf.
+        `prefix_walk` steps one state for all the prefixes that reach an
+        equal one (which is why the containers store -0.0 as 0.0).
+
         start and step depend only on window.lo, never on window.hi: a
         state folded along a word on [lo, hi] is the state of that word's
         prefixes too, so one fold serves every window that starts at lo
@@ -379,8 +403,8 @@ class MeasureProvider:
     def _scaled_distribution(self, window: Window, cap: int) -> tuple[dict, int | float]:
         """(nums, den) after the cap and support checks: every word on the
         window, lexicographic, mapped to the numerator over den of the
-        probability `prob` gives it, from one walk that computes each
-        prefix's state once; a dropped prefix's words list 0."""
+        probability `prob` gives it, from one walk that steps each distinct
+        state once per site; a dropped prefix's words list 0."""
         n_words = len(self.alphabet) ** window.size
         if n_words > cap:
             raise EnumerationCapError(

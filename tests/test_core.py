@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from gibbslab import (
     regularity_probe,
     tv_distance,
 )
-from gibbslab.core import TableMeasure
+from gibbslab.core import TableMeasure, prefix_walk, scaled_quotients
 
 
 # ---------------------------------------------------------------- numbers
@@ -363,6 +364,55 @@ def test_tv_distance_between_point_masses_is_two():
 def test_tv_distance_rejects_support_mismatch():
     with pytest.raises(ValueError):
         tv_distance({0: Fraction(1)}, {1: Fraction(1)})
+
+
+# ----------------------------------------------------------- prefix walk
+
+def test_prefix_walk_steps_each_distinct_state_once_per_symbol():
+    symbols, n = (0, 1, 2), 6
+    steps, leaves = Counter(), Counter()
+
+    def fold(i, state, s):  # a five-state machine that drops state 4
+        nxt = (2 * state + s + i) % 5
+        return None if nxt == 4 else nxt
+
+    def step(state, i, s):
+        steps[i, state, s] += 1
+        return fold(i, state, s)
+
+    def leaf(state):
+        leaves[state] += 1
+        return 10 * state
+
+    # the literal fold of every word, keeping the live states at each site
+    live, reached = {}, [set() for _ in range(n + 1)]
+    for word in itertools.product(symbols, repeat=n):
+        state = 0
+        for i, s in enumerate(word):
+            reached[i].add(state)
+            if (state := fold(i, state, s)) is None:
+                break
+        else:
+            reached[n].add(state)
+            live[word] = 10 * state
+
+    got = prefix_walk(symbols, n, 0, step, leaf)
+    assert list(got.items()) == list(live.items())  # lexicographic, dead words absent
+    assert len(reached[n]) < len(got) < len(symbols) ** n  # states merge, words drop
+    assert set(steps.values()) == {1}
+    for i in range(n):
+        assert {(j, state) for j, state, _ in steps if j == i} == {(i, x) for x in reached[i]}
+    assert sum(steps.values()) == len(symbols) * sum(map(len, reached[:n]))
+    assert leaves == Counter(reached[n])
+
+
+def test_scaled_quotients_build_one_fraction_per_distinct_numerator():
+    nums = {(0,): 2, (1,): 6, (2,): 2, (3,): 0, (4,): 6}
+    got = scaled_quotients(nums, 8)
+    assert got == {k: Fraction(v, 8) for k, v in nums.items()} and list(got) == list(nums)
+    assert len({id(f) for f in got.values()}) == 3
+    floats = scaled_quotients({(0,): 1.0, (1,): 3.0}, 4.0)
+    assert floats == {(0,): 0.25, (1,): 0.75}
 
 
 # ---------------------------------------------------------------- probe

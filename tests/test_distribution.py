@@ -7,6 +7,7 @@ listed in lexicographic order, zero entries included.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -101,9 +102,27 @@ CHANNELS = [
 
 
 @pytest.mark.parametrize("params", CHANNELS)
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bitshift_distribution_matches_prob(params, n):
     dist = assert_matches_prob(BitShiftMeasure(params), Window(5, 4 + n), params.exact)
     if n > 1:
         assert dist[(0, 0) + (2,) * (n - 2)] == 0  # adjacent zeros are inadmissible
 
+
+
+NEGATIVE_ZERO_MEASURES = [
+    (BernoulliMeasure(Alphabet((0, 1)), [-0.0, 1.0]), Window(0, 2)),
+    (BitShiftMeasure(ChannelParams(2, 3, (-0.0, 1.0), 0.25)), Window(0, 3)),
+    (BitShiftMeasure(ChannelParams(2, 3, (0.5, 0.5), -0.0)), Window(0, 3)),
+    (TableMeasure(Alphabet((0, 1)), Window(0, 1),
+                  {(0, 0): -0.0, (0, 1): 0.5, (1, 0): 0.25, (1, 1): 0.25}), Window(0, 1)),
+]
+
+
+@pytest.mark.parametrize("measure, window", NEGATIVE_ZERO_MEASURES)
+def test_negative_zero_weights_are_stored_as_zero(measure, window):
+    # the walk merges states that compare equal, and -0.0 == 0.0: a -0.0
+    # weight kept as given would give a merged word a zero of the wrong sign
+    dist = assert_matches_prob(measure, window, False)
+    assert 0.0 in dist.values()
+    assert all(math.copysign(1.0, v) == 1.0 for v in dist.values())

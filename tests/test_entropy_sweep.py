@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import ChannelParams, apply_channel, entropy_bound_table, entropy_levels
-from gibbslab.bitshift import BLOCK_ENTROPY_CAP, BLOCK_ROWS, JITTER, _sweep_sums
+from gibbslab.bitshift import BLOCK_ENTROPY_CAP, BLOCK_ROWS, JITTER, _sweep_model, _sweep_sums
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
 ATOL = 1e-13
@@ -58,7 +58,7 @@ def test_closed_rows_carry_the_mass_of_their_subtrees(params):
 
 def test_without_jitter_every_row_closes_at_the_first_level():
     init, mats = MASS_CHANNELS[2]._float_model
-    h, c, c_log_c = _sweep_sums(mats, init, 6, BLOCK_ROWS)
+    h, c, c_log_c = _sweep_sums(_sweep_model(mats), init, 6, BLOCK_ROWS)
     # only the root is expanded; its two children close, one per input symbol
     assert not h[1:].any()
     assert c.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
