@@ -20,7 +20,6 @@ from .core import (
     Window,
     ZeroProbabilityError,
     as_prob,
-    bernoulli_provider,
     binary_config,
     conditional_prob,
     config,
@@ -38,7 +37,6 @@ from .weak_gibbs import (
     bad_set_frequency,
     bad_tail_fraction,
     correlation_length,
-    finite_volume_measure,
     glued_convergence_table,
     hamiltonian,
     hamiltonian_tail_bound,

@@ -50,6 +50,7 @@ from .core import (
 
 JITTER = (-1, 0, 1)
 BLOCK_ENTROPY_CAP = 12
+BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
 _PINNED = np.array([0.0, 1.0, 0.0])  # the forward vector of the empty word in jitter state 0
 _PINNED.flags.writeable = False
@@ -266,10 +267,6 @@ class BitShiftMeasure(MeasureProvider):
         self.label = (f"bitshift(d={params.d},k={params.k},"
                       f"eps={format_prob(params.eps)})")
 
-    def prob(self, cfg: Configuration) -> Prob:
-        self.check_config(cfg)
-        return cylinder_prob(self.params, cfg.values)
-
     def log_prob(self, cfg: Configuration) -> float:
         self.check_config(cfg)
         return cylinder_log_prob(self.params, cfg.values)
@@ -296,29 +293,47 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
     eps < 1/3 the conditional decays exponentially, by a factor of about
     eps / (1 - 2 eps) per row, and the column goes to 0.
 
-    The forward vectors of [2^n] and [0, 2^n] are stepped together, so the
-    table costs one step per row.  In float mode both are divided by the sum
-    of the first after each step; the conditional is their ratio, which stays
-    finite after the cylinder probabilities underflow.
+    The rows come from _paired_sums, one step per row, so the conditional
+    stays finite in float mode after both cylinder probabilities underflow.
     """
     if not (params.d <= 2 <= params.k and params.d <= 3 <= params.k):
         raise ValueError("table needs symbols 2 and 3 in the input alphabet")
-    run, mats, scale, den = params._forward_model
-    joint = _step(mats[0], run)
-    # run / scale and joint / (scale * den) are the forward vectors of the two words
     rows = []
-    for n in range(1, n_max + 1):
-        run, joint = _step(mats[2], run), _step(mats[2], joint)
-        scale *= den
-        if not params.exact:
-            z = sum(run)
-            run, joint = tuple(a / z for a in run), tuple(a / z for a in joint)
-            scale /= z
-        s_run, s_joint = sum(run), sum(joint)
-        cond = scaled_quotient(s_joint, s_run * den)
-        rows.append(BadConfigRow(n, scaled_quotient(s_joint, scale * den),
+    for n, (s_run, s_joint, scale) in enumerate(_paired_sums(params, (0,), (2,) * n_max), 1):
+        cond = scaled_quotient(s_joint, s_run)
+        rows.append(BadConfigRow(n, scaled_quotient(s_joint, scale),
                                  scaled_quotient(s_run, scale), cond, n * cond))
     return tuple(rows)
+
+
+def _paired_sums(params: ChannelParams, head: Sequence[int], word: Sequence[int]):
+    """Per prefix u of word, (s_u, s_joint, scale): nu([u]) is s_u / scale and
+    nu([head u]) is s_joint / scale, so the conditional nu(head | u) is
+    s_joint / s_u.
+
+    The forward vectors of u and head u are stepped together, one step per
+    symbol of word.  In float mode both are divided by the sum of the first
+    after each step, and scale with them, so their ratio stays finite after
+    both probabilities underflow.  Raises ZeroProbabilityError once u has no
+    mass.
+    """
+    given, mats, scale, den = params._forward_model
+    joint = given
+    for v in head:
+        joint = _step(mats[v], joint)
+    lift = den ** len(head)  # puts both vectors over one scale
+    given, scale = tuple(a * lift for a in given), scale * lift
+    for v in word:
+        given, joint = _step(mats[v], given), _step(mats[v], joint)
+        scale *= den
+        z = sum(given)
+        if z == 0:
+            raise ZeroProbabilityError("conditioning word has probability zero")
+        if not params.exact:
+            given, joint = tuple(a / z for a in given), tuple(a / z for a in joint)
+            scale /= z
+            z = sum(given)
+        yield z, sum(joint), scale
 
 
 def _walker(params: ChannelParams, n: int) -> tuple:
@@ -335,14 +350,13 @@ def _walker(params: ChannelParams, n: int) -> tuple:
     return init, step, sum, den0 * den ** n
 
 
-def block_distribution(params: ChannelParams, n: int,
-                       cap: int = 8) -> dict[tuple[int, ...], Prob]:
+def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
     """Exact distribution over admissible length-n output words, from one
     walk that steps each distinct forward vector once and prunes zero ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise EnumerationCapError(f"block distribution capped at n <= {cap}")
+    if n > BLOCK_WORD_CAP:
+        raise EnumerationCapError(f"block distribution capped at n <= {BLOCK_WORD_CAP}")
     start, step, leaf, den = _walker(params, n)
     return scaled_quotients(prefix_walk(params.output_symbols, n, start, step, leaf), den)
 
@@ -453,12 +467,6 @@ def _entropy_sweeps(mats: np.ndarray, init: np.ndarray, n: int,
     return _closed_levels(_sweep_sums(model, init, n, block_rows), sigma, pinned), pinned
 
 
-def _entropy_sweep(mats: np.ndarray, init: np.ndarray, n: int,
-                   block_rows: int = BLOCK_ROWS) -> np.ndarray:
-    """H_1 .. H_n for the word distribution started from forward vector init."""
-    return _entropy_sweeps(mats, init, n, block_rows)[0]
-
-
 def _check_entropy_depth(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -474,11 +482,11 @@ def entropy_levels(params: ChannelParams, n: int,
     the stationary sweep closed on the pinned one (_entropy_sweeps)."""
     _check_entropy_depth(n, cap)
     init, mats = params._float_model
-    return _entropy_sweep(mats, init, n)
+    return _entropy_sweeps(mats, init, n)[0]
 
 
-def block_entropy(params: ChannelParams, n: int, cap: int = BLOCK_ENTROPY_CAP) -> float:
-    return float(entropy_levels(params, n, cap=cap)[n - 1])
+def block_entropy(params: ChannelParams, n: int) -> float:
+    return float(entropy_levels(params, n)[n - 1])
 
 
 @dataclass(frozen=True)
@@ -512,9 +520,8 @@ def entropy_bound_table(params: ChannelParams, n_max: int,
     return tuple(rows)
 
 
-def entropy_bounds(params: ChannelParams, n: int,
-                   cap: int = BLOCK_ENTROPY_CAP) -> tuple[float, float]:
-    row = entropy_bound_table(params, n, cap=cap)[-1]
+def entropy_bounds(params: ChannelParams, n: int) -> tuple[float, float]:
+    row = entropy_bound_table(params, n)[-1]
     return row.lower, row.upper
 
 

@@ -45,6 +45,7 @@ from .core import (
     format_prob,
     is_exact,
     regularity_probe,
+    scaled_quotient,
 )
 from . import bitshift as bs
 from . import oracle as orc
@@ -283,6 +284,12 @@ def _channel(cfg: dict, mode: str) -> bs.ChannelParams:
                             _coerce(cfg["eps"], mode))
 
 
+def _optional(cfg: dict, *keys: str) -> dict:
+    """The optional keys the config sets, for a library call whose own
+    signature holds their defaults."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _window(obj: dict) -> Window:
     return Window(obj["lo"], obj["hi"])
 
@@ -381,8 +388,7 @@ def _run_wg_converge(cfg, mode, seed):
         provider = wg.FiniteVolumeMeasure(params, mode=mode)
         target = config(BINARY, 0, (cfg.get("target", 1),))
         res = regularity_probe(provider, target, omega, cfg["n_range"],
-                               tol=cfg.get("tol", 1e-6),
-                               stability_window=cfg.get("stability_window", 4))
+                               **_optional(cfg, "tol", "stability_window"))
         comments = [f"converged={str(res.converged).lower()}"]
         if res.limit is not None:
             comments.append(f"limit={_fmt(res.limit, None)}")
@@ -420,8 +426,7 @@ def _run_wg_badsets(cfg, mode, seed):
     rows = []
     for n in cfg["n_list"]:
         est = wg.bad_tail_fraction(params, omega, cfg["eps"], n, cfg["samples"],
-                                   Rng(seed, stream=n),
-                                   tail_depth=cfg.get("tail_depth", 128))
+                                   Rng(seed, stream=n), **_optional(cfg, "tail_depth"))
         rows.append((n, est.value, est.stderr))
     return "csv", [], ["n", "fraction", "stderr"], rows
 
@@ -439,13 +444,13 @@ def _run_bs_cylinder(cfg, mode, seed):
             entry["witness_jitter"] = list(adm.omega)
         if "given" in query:
             given = tuple(query["given"])
-            p_given = bs.cylinder_prob(params, given)
-            if p_given == 0:
-                raise ZeroProbabilityError("conditioning word has probability zero")
             entry["given"] = list(given)
+            entry["prob_given"] = bs.cylinder_prob(params, given)
             entry["prob_joint"] = bs.cylinder_prob(params, y + given)
-            entry["prob_given"] = p_given
-            entry["conditional"] = entry["prob_joint"] / p_given
+            # the paired step keeps a float conditional finite where both
+            # probabilities underflow
+            *_, (s_given, s_joint, _) = bs._paired_sums(params, y, given)
+            entry["conditional"] = scaled_quotient(s_joint, s_given)
         else:
             entry["prob"] = bs.cylinder_prob(params, y)
         results.append(entry)
@@ -463,14 +468,12 @@ def _run_bs_entropy(cfg, mode, seed):
     params = _channel(cfg, mode)
     exp = cfg["experiment"]
     if exp == "levels":
-        levels = bs.entropy_levels(params, cfg["n_max"],
-                                   cap=cfg.get("cap", bs.BLOCK_ENTROPY_CAP))
+        levels = bs.entropy_levels(params, cfg["n_max"], **_optional(cfg, "cap"))
         rows = [(n + 1, float(h), float(h) / math.log(2))
                 for n, h in enumerate(levels)]
         return "csv", [], ["n", "block_entropy_nats", "block_entropy_bits"], rows
     if exp == "bounds":
-        table = bs.entropy_bound_table(params, cfg["n_max"],
-                                       cap=cfg.get("cap", bs.BLOCK_ENTROPY_CAP))
+        table = bs.entropy_bound_table(params, cfg["n_max"], **_optional(cfg, "cap"))
         rows = [(r.n, r.lower, r.upper, r.upper - r.lower,
                  r.lower / math.log(2), r.upper / math.log(2)) for r in table]
         return "csv", [], ["n", "lower_nats", "upper_nats", "gap",
@@ -484,9 +487,7 @@ def _run_bs_entropy(cfg, mode, seed):
 
 def _run_bs_capacity(cfg, mode, seed):
     res = bs.capacity_search(cfg["d"], cfg["k"], _coerce(cfg["eps"], mode),
-                             grid=cfg.get("grid", 8),
-                             refine=cfg.get("refine", 3),
-                             n_eval=cfg.get("n_eval", 5))
+                             **_optional(cfg, "grid", "refine", "n_eval"))
     return "json", {"result": {
         "p": [format_prob(w) for w in res.p],
         "lower_nats": res.lower, "upper_nats": res.upper,
@@ -505,8 +506,8 @@ def _run_relent(cfg, mode, seed):
             "value_nats": rep.value, "infinite": rep.infinite}}
     if exp == "density":
         rows = [(r.n, r.window_value, r.per_site)
-                for r in re_.relative_entropy_density(
-                    nu, mu, cfg["n_max"], lo=cfg.get("lo", 1))]
+                for r in re_.relative_entropy_density(nu, mu, cfg["n_max"],
+                                                      **_optional(cfg, "lo"))]
         return "csv", [], ["n", "window_value_nats", "per_site_nats"], rows
     if exp == "tv_identity":
         res = re_.tv_identity_check(nu, mu, _window(cfg["lam"]),

@@ -26,7 +26,7 @@ Prob = Fraction | float
 
 FLOAT_TOL = 1e-12
 
-# default cap on the words one whole-window distribution may list
+# cap on the words one whole-window distribution may list
 WORD_CAP = 1 << 21
 
 
@@ -208,9 +208,6 @@ class Window:
 
     def contains_window(self, other: "Window") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def overlaps(self, other: "Window") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
 
 
 class Tail(enum.Enum):
@@ -400,13 +397,13 @@ class MeasureProvider:
         """All words over the alphabet on the given window, lexicographic."""
         yield from itertools.product(self.alphabet.symbols, repeat=window.size)
 
-    def _scaled_distribution(self, window: Window, cap: int) -> tuple[dict, int | float]:
-        """(nums, den) after the cap and support checks: every word on the
+    def _scaled_distribution(self, window: Window) -> tuple[dict, int | float]:
+        """(nums, den) after the WORD_CAP and support checks: every word on the
         window, lexicographic, mapped to the numerator over den of the
         probability `prob` gives it, from one walk that steps each distinct
         state once per site; a dropped prefix's words list 0."""
         n_words = len(self.alphabet) ** window.size
-        if n_words > cap:
+        if n_words > WORD_CAP:
             raise EnumerationCapError(
                 f"{len(self.alphabet)}^{window.size} words exceeds the cap")
         self.check_window(window)
@@ -416,10 +413,9 @@ class MeasureProvider:
             nums = {w: nums.get(w, 0) for w in self.words(window)}
         return nums, den
 
-    def distribution(self, window: Window,
-                     cap: int = WORD_CAP) -> dict[tuple[int, ...], Prob]:
+    def distribution(self, window: Window) -> dict[tuple[int, ...], Prob]:
         """Full cylinder distribution on the window, zero entries included."""
-        return scaled_quotients(*self._scaled_distribution(window, cap))
+        return scaled_quotients(*self._scaled_distribution(window))
 
 
 class BernoulliMeasure(MeasureProvider):
@@ -458,11 +454,6 @@ class BernoulliMeasure(MeasureProvider):
         return math.fsum(math.log(float(w)) for w in ws)
 
 
-def bernoulli_provider(alphabet: Alphabet, weights: Sequence[Prob],
-                       label: str = "") -> BernoulliMeasure:
-    return BernoulliMeasure(alphabet, weights, label)
-
-
 def fair_coin() -> BernoulliMeasure:
     return BernoulliMeasure(BINARY, (Fraction(1, 2), Fraction(1, 2)), "fair-coin")
 
@@ -496,28 +487,31 @@ class TableMeasure(MeasureProvider):
             self._entries, self._den, self._zero = tuple(zip(ws, nums)), sum(nums), 0
         else:
             self._entries, self._den, self._zero = tuple(ws.items()), total, 0.0
-        self._marginals: dict[Window, dict] = {}
 
     def _walker(self, window: Window) -> tuple:
         """A prefix's state is the prefix itself.  A word's numerator is its
         weight in the table marginalised onto the window, from one pass over
-        the entries that adds each word's weights in table order; the
-        marginal is kept per window, so later queries on it only look up."""
-        marginal = self._marginals.get(window)
-        if marginal is None:
-            cut = slice(window.lo - self.support_window.lo,
-                        window.hi - self.support_window.lo + 1)
-            marginal = self._marginals[window] = {}
-            get, zero = marginal.get, self._zero
-            for w, x in self._entries:
-                key = w[cut]
-                marginal[key] = get(key, zero) + x
+        the entries that adds each word's weights in table order."""
+        cut = slice(window.lo - self.support_window.lo,
+                    window.hi - self.support_window.lo + 1)
+        marginal: dict = {}
+        get, zero = marginal.get, self._zero
+        for w, x in self._entries:
+            key = w[cut]
+            marginal[key] = get(key, zero) + x
         return (), lambda word, i, s: word + (s,), marginal.__getitem__, self._den
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,
                      given: Configuration) -> Prob:
-    """P(target | given) for adjacent cylinders, as P(target and given)/P(given)."""
+    """P(target | given) for adjacent cylinders, as P(target and given)/P(given).
+
+    Float mode divides two plain cylinder probabilities, so a long word
+    underflows: on the float channel (0.5, 0.5), eps 0.25, P(0 | 2^n) comes
+    back 0.0 at n = 429 (exactly 1.127e-131) and raises ZeroProbabilityError
+    at n = 600, where log P(2^600) is -831.08.  The `_walker` contract has no
+    rescaling step to avoid this; rational mode is exact at any length.
+    """
     joint = glue(target, None, given) if target.window.lo < given.window.lo \
         else glue(given, None, target)
     denom = provider.prob(given)
@@ -563,6 +557,10 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
     one fold of the provider's walker along target + omega and one along
     omega: the conditioning words are nested prefixes of one omega, so each
     n only steps its new sites and closes both cylinders.
+
+    Float mode shares conditional_prob's underflow: on the float channel
+    (0.5, 0.5), eps 0.25, with target [0] and omega 2^800, the value at
+    n = 400 is 0.0 (exactly 6.05e-123), and failed_at is 600.
     """
     lo = target.window.hi + 1
     given: list[int] = []
@@ -620,6 +618,3 @@ class Rng:
     def task_generator(self, task: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((self.seed, self.stream, task))))
-
-    def derive(self, stream: int) -> "Rng":
-        return Rng(self.seed, stream)

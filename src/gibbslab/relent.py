@@ -29,7 +29,6 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    WORD_CAP,
     Configuration,
     MeasureProvider,
     Prob,
@@ -46,7 +45,6 @@ class RelEntReport:
     window: Window
     value: float
     infinite: bool
-    contributions: tuple[tuple[tuple[int, ...], float], ...] | None = None
 
 
 def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[list, int]:
@@ -67,7 +65,7 @@ def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[li
     return list(map(lshift, odd.tolist(), (exp - low).clip(0).tolist())), 1 << -low
 
 
-def _scaled_pair(nu: MeasureProvider, mu: MeasureProvider, window: Window, cap: int):
+def _scaled_pair(nu: MeasureProvider, mu: MeasureProvider, window: Window):
     """(words, p, a, q, b, exact): the window's words, and the probabilities
     `distribution` lists for them as int numerators, nu's p over a and mu's q
     over b.  `_scaled_distribution` lists all the window's words in
@@ -77,33 +75,29 @@ def _scaled_pair(nu: MeasureProvider, mu: MeasureProvider, window: Window, cap: 
     if nu.alphabet != mu.alphabet:
         raise ValueError(f"{nu.label} and {mu.label} have different alphabets: "
                          f"{nu.alphabet.symbols} and {mu.alphabet.symbols}")
-    p, a = nu._scaled_distribution(window, cap)
-    q, b = mu._scaled_distribution(window, cap)
+    p, a = nu._scaled_distribution(window)
+    q, b = mu._scaled_distribution(window)
     exact = isinstance(a, int) and isinstance(b, int)
     return (list(p), *_int_numerators(p.values(), a), *_int_numerators(q.values(), b), exact)
 
 
 def window_relative_entropy(nu: MeasureProvider, mu: MeasureProvider,
-                            window: Window, keep_contributions: bool = False,
-                            cap: int = WORD_CAP) -> RelEntReport:
-    """sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0."""
-    words, p, a, q, b, _ = _scaled_pair(nu, mu, window, cap)
-    if all(x * b == y * a for x, y in zip(p, q)):
-        return RelEntReport(window, 0.0, False, () if keep_contributions else None)
-    terms: list[tuple[tuple[int, ...], float]] = []
-    for w, x, y in zip(words, p, q):
+                            window: Window) -> RelEntReport:
+    """sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0.  Equal
+    measures give exactly 0.0: each term is a log of exactly 1.0."""
+    _, p, a, q, b, _ = _scaled_pair(nu, mu, window)
+    terms = []
+    for x, y in zip(p, q):
         if x == 0:
             continue
         if y == 0:
-            return RelEntReport(window, math.inf, True,
-                                ((w, math.inf),) if keep_contributions else None)
+            return RelEntReport(window, math.inf, True)
         # int / int rounds once, as float() of the Fraction it stands for does
-        terms.append((w, x / a * math.log((x * b) / (y * a))))
-    value = math.fsum(t for _, t in terms)
+        terms.append(x / a * math.log((x * b) / (y * a)))
+    value = math.fsum(terms)
     if -1e-9 < value < 0.0:
         value = 0.0  # roundoff on a sum that is nonnegative by Gibbs' inequality
-    return RelEntReport(window, value, False,
-                        tuple(terms) if keep_contributions else None)
+    return RelEntReport(window, value, False)
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,7 @@ class DensityRow:
 
 
 def relative_entropy_density(nu: MeasureProvider, mu: MeasureProvider,
-                             n_max: int, lo: int = 1,
-                             cap: int = WORD_CAP) -> tuple[DensityRow, ...]:
+                             n_max: int, lo: int = 1) -> tuple[DensityRow, ...]:
     """Normalized sequence H_[lo, lo+n-1](nu|mu) / n for n = 1..n_max.
 
     The table is the deliverable; whether it converges is the reader's call.
@@ -124,7 +117,7 @@ def relative_entropy_density(nu: MeasureProvider, mu: MeasureProvider,
         raise ValueError("n_max must be >= 1")
     rows = []
     for n in range(1, n_max + 1):
-        rep = window_relative_entropy(nu, mu, Window(lo, lo + n - 1), cap=cap)
+        rep = window_relative_entropy(nu, mu, Window(lo, lo + n - 1))
         rows.append(DensityRow(n, rep.value, rep.value / n))
     return tuple(rows)
 
@@ -183,7 +176,7 @@ class TvIdentityResult:
 
 
 def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
-                      delta: Window, cap: int = WORD_CAP) -> TvIdentityResult:
+                      delta: Window) -> TvIdentityResult:
     """Evaluate both sides of the density-increment / conditional-TV identity.
 
     lam may touch either end of delta or sit strictly inside it; the
@@ -198,7 +191,7 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     the identity itself.
     """
     rest_ix = _rest_positions(delta, lam)
-    words, p, a, q, b, exact = _scaled_pair(nu, mu, delta, cap)
+    words, p, a, q, b, exact = _scaled_pair(nu, mu, delta)
     if any(x != 0 and y == 0 for x, y in zip(p, q)):
         raise ZeroProbabilityError(
             "identity needs nu absolutely continuous w.r.t. mu on delta")
@@ -217,7 +210,7 @@ class ConditionalGapRow:
 
 
 def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
-                          n_max: int, cap: int = WORD_CAP) -> tuple[ConditionalGapRow, ...]:
+                          n_max: int) -> tuple[ConditionalGapRow, ...]:
     """TV gap between the two conditionals on lam, given words on (lam.hi, n].
 
     For measures that agree as conditional families the gaps vanish; the
@@ -231,7 +224,7 @@ def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     for n in range(lam.hi + 1, n_max + 1):
         delta = Window(lam.lo, n)
         rest_ix = _rest_positions(delta, lam)
-        words, p, a, q, b, _ = _scaled_pair(nu, mu, delta, cap)
+        words, p, a, q, b, _ = _scaled_pair(nu, mu, delta)
         groups = _rest_groups(words, p, q, rest_ix)
         uncovered = any(a_r and not b_r for a_r, b_r, _ in groups)
         gaps = [(g_r, a_r, b_r) for a_r, b_r, g_r in groups if a_r and b_r]

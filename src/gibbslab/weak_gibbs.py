@@ -42,6 +42,7 @@ from .core import (
 )
 
 VOLUME_CAP = 20  # largest finite volume [0, m] a provider will take by default
+TAIL_CAP = 24  # most free tail sites, m - n, kernel_radius_enumerated takes
 
 
 @dataclass(frozen=True)
@@ -400,11 +401,6 @@ class FiniteVolumeMeasure(MeasureProvider):
                                self._total)
 
 
-def finite_volume_measure(params: InteractionParams, mode: str = "float",
-                          cap: int = VOLUME_CAP) -> FiniteVolumeMeasure:
-    return FiniteVolumeMeasure(params, mode, cap)
-
-
 def in_bad_set(omega: Configuration, k: int) -> bool:
     """True iff sites floor(3k/2) .. 2k all hold 1."""
     if k < 1:
@@ -527,7 +523,7 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
     n = prefix.window.hi
     if m < n:
         raise ValueError("volume must contain the prefix")
-    if m - n > 24:
+    if m - n > TAIL_CAP:
         raise EnumerationCapError(f"2^{m - n} tails is past the enumeration cap")
     head = (1,) + prefix.values
     energy, past, _ = _scan(head, params, params.m)  # the zero-filled prefix

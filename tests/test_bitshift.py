@@ -28,7 +28,7 @@ from gibbslab import (
     simulate,
     smb_estimate,
 )
-from gibbslab.bitshift import JITTER, _entropy_sweep, _simulate, transition_matrices
+from gibbslab.bitshift import JITTER, _entropy_sweeps, _simulate, transition_matrices
 from gibbslab.core import Configuration, Alphabet, binary_config, is_exact
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
@@ -306,9 +306,9 @@ def test_lower_bounds_sum_to_the_entropy_from_every_start_state(params):
 @pytest.mark.parametrize("params", SWEEP_CHANNELS[:2])
 def test_entropy_sweep_in_tiny_blocks_gives_the_default_levels(params):
     init, mats = params._float_model
-    want = _entropy_sweep(mats, init, 6)
+    want = _entropy_sweeps(mats, init, 6)[0]
     for block_rows in (1, 7, 50):
-        got = _entropy_sweep(mats, init, 6, block_rows=block_rows)
+        got = _entropy_sweeps(mats, init, 6, block_rows=block_rows)[0]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +298,22 @@ def test_numeric_failure_maps_to_exit_three(tmp_path, capsys):
         **STD_CHANNEL,
         "queries": [{"y": [2], "given": [0, 0]}]})
     expect_error(capsys, ["bs-cylinder", "--config", cfg], 3, "numeric-failure")
+
+
+@pytest.mark.parametrize("n", [429, 600])
+def test_float_conditional_survives_underflow(tmp_path, capsys, n):
+    # nu(0 | 2^n) is 1.13e-131 at n = 429 and 3.77e-183 at n = 600; nu([0, 2^n])
+    # underflows a double at both, and nu([2^n]) at 600
+    query = {"queries": [{"y": [0], "given": [2] * n}]}
+    answers = []
+    for mode, channel in (("float", {"d": 2, "k": 3, "p": [0.5, 0.5], "eps": 0.25}),
+                          ("rational", STD_CHANNEL)):
+        cfg = write_cfg(tmp_path, f"{mode}.json", {**channel, **query})
+        code, out, err = invoke(capsys, ["bs-cylinder", "--config", cfg, "--mode", mode])
+        assert code == 0 and err == ""
+        answers.append(json.loads(out)["results"][0]["conditional"])
+    got, want = Fraction(answers[0]), Fraction(answers[1])
+    assert want > 0 and abs(got - want) <= Fraction(1, 10**12) * want
 
 
 def test_failures_write_no_output_file(tmp_path, capsys):

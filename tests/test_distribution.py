@@ -8,6 +8,7 @@ listed in lexicographic order, zero entries included.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,10 @@ from gibbslab import (
     Configuration,
     FiniteVolumeMeasure,
     InteractionParams,
+    Rng,
     Window,
+    cylinder_prob,
+    simulate,
 )
 from gibbslab.core import TableMeasure
 
@@ -107,6 +111,27 @@ def test_bitshift_distribution_matches_prob(params, n):
     dist = assert_matches_prob(BitShiftMeasure(params), Window(5, 4 + n), params.exact)
     if n > 1:
         assert dist[(0, 0) + (2,) * (n - 2)] == 0  # adjacent zeros are inadmissible
+
+
+@pytest.mark.parametrize("params", CHANNELS)
+def test_bitshift_prob_is_cylinder_prob(params):
+    # BitShiftMeasure inherits MeasureProvider.prob, a fold of the channel's
+    # walker; it must give cylinder_prob's type and value (bits in float mode)
+    measure = BitShiftMeasure(params)
+    rnd = random.Random(7)
+    for n in range(1, 61):
+        sampled = tuple(int(v) for v in simulate(params, n, Rng(n)))
+        assert cylinder_prob(params, sampled) > 0
+        words = [sampled, tuple(rnd.choice(params.output_symbols) for _ in range(n))]
+        if n > 1:
+            cut = rnd.randrange(n - 1)
+            words.append(sampled[:cut] + (0, 0) + sampled[cut + 2:])
+            assert cylinder_prob(params, words[-1]) == 0
+        for w in words:
+            got = measure.prob(Configuration(measure.alphabet, Window(3, 2 + n), w))
+            want = cylinder_prob(params, w)
+            assert type(got) is type(want) is (Fraction if params.exact else float)
+            assert got == want if params.exact else got.hex() == want.hex()
 
 
 

@@ -20,7 +20,6 @@ from gibbslab import (
     binary_config,
     config,
     correlation_length,
-    finite_volume_measure,
     glued_convergence_table,
     hamiltonian,
     hamiltonian_tail_bound,
@@ -252,7 +251,7 @@ def test_kernel_validation():
 # ----------------------------------------------------------- finite volume
 
 def test_volume_zero_is_a_fair_flip():
-    mu = finite_volume_measure(InteractionParams(Fraction(1, 2), 0), "rational")
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 0), "rational")
     assert mu.prob(binary_config("1", tail=Tail.UNSPECIFIED)) == Fraction(1, 2)
 
 
@@ -261,7 +260,7 @@ def test_volume_zero_is_a_fair_flip():
 def test_volume_zero_gives_half_per_symbol_in_its_modes_type(mode, rho):
     # the sigma_0 = 0 branch must start as a float in float mode: an int start
     # makes every sum on [0, 0] an int and hands out Fraction(1, 2)
-    mu = finite_volume_measure(InteractionParams(rho, 0), mode)
+    mu = FiniteVolumeMeasure(InteractionParams(rho, 0), mode)
     kind = Fraction if mode == "rational" else float
     got = [mu.prob(config(BINARY, 0, (s,))) for s in (0, 1)]
     got += [mu.event_prob({0: s}) for s in (0, 1)]
@@ -272,14 +271,14 @@ def test_volume_zero_gives_half_per_symbol_in_its_modes_type(mode, rho):
 
 
 def test_volume_normalizes_exactly():
-    mu = finite_volume_measure(InteractionParams(Fraction(1, 2), 6), "rational")
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 6), "rational")
     words = list(itertools.product((0, 1), repeat=7))
     total = sum(mu.prob(config(BINARY, 0, w)) for w in words)
     assert total == 1
 
 
 def test_volume_marginal_consistency():
-    mu = finite_volume_measure(InteractionParams(Fraction(1, 3), 8), "rational")
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 3), 8), "rational")
     stem = (1, 0, 1, 1)
     lhs = mu.prob(config(BINARY, 0, stem))
     rhs = sum(mu.prob(config(BINARY, 0, stem + (s,))) for s in (0, 1))
@@ -287,21 +286,21 @@ def test_volume_marginal_consistency():
 
 
 def test_volume_event_prob_consistency():
-    mu = finite_volume_measure(InteractionParams(Fraction(1, 2), 8), "rational")
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 8), "rational")
     assert mu.event_prob({0: 0}) + mu.event_prob({0: 1}) == 1
     split = sum(mu.event_prob({3: 1, 5: s, 7: 0}) for s in (0, 1))
     assert mu.event_prob({3: 1, 7: 0}) == split
 
 
 def test_volume_prefers_zero_at_the_origin():
-    mu = finite_volume_measure(InteractionParams(Fraction(1, 2), 8), "rational")
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 8), "rational")
     assert mu.event_prob({0: 0}) > Fraction(1, 2)
 
 
 def test_volume_float_mode_tracks_rational_mode():
     pr = InteractionParams(Fraction(1, 2), 8)
-    mu_q = finite_volume_measure(pr, "rational")
-    mu_f = finite_volume_measure(InteractionParams(0.5, 8), "float")
+    mu_q = FiniteVolumeMeasure(pr, "rational")
+    mu_f = FiniteVolumeMeasure(InteractionParams(0.5, 8), "float")
     for w in [(1, 0, 1, 0), (0, 0, 0, 0), (1, 1, 1, 1)]:
         cfg = config(BINARY, 0, w)
         assert abs(float(mu_q.prob(cfg)) - mu_f.prob(cfg)) < 1e-12
@@ -309,16 +308,16 @@ def test_volume_float_mode_tracks_rational_mode():
 
 def test_volume_caps_and_mode_validation():
     with pytest.raises(EnumerationCapError):
-        finite_volume_measure(InteractionParams(Fraction(1, 2), 22))
-    finite_volume_measure(InteractionParams(Fraction(1, 2), 22), cap=24)
+        FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 22))
+    FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 22), cap=24)
     with pytest.raises(ValueError):
-        finite_volume_measure(InteractionParams(Fraction(1, 2), 4), "decimal")
+        FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 4), "decimal")
     with pytest.raises(ValueError):
-        finite_volume_measure(InteractionParams(0.5, 4), "rational")
+        FiniteVolumeMeasure(InteractionParams(0.5, 4), "rational")
 
 
 def test_volume_event_prob_validation():
-    mu = finite_volume_measure(InteractionParams(Fraction(1, 2), 8), "rational")
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 8), "rational")
     with pytest.raises(ValueError):
         mu.event_prob({9: 1})
     with pytest.raises(ValueError):
