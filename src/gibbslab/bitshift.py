@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     Alphabet,
@@ -48,12 +46,13 @@ from .core import (
     scaled_quotients,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 JITTER = (-1, 0, 1)
 BLOCK_ENTROPY_CAP = 12
 BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
-_PINNED = np.array([0.0, 1.0, 0.0])  # the forward vector of the empty word in jitter state 0
-_PINNED.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,7 @@ class ChannelParams:
         Each entry is num / den on the model's own numbers: int / int rounds
         once, so an exact model gives float() of each Fraction entry, and a
         float model its own entries."""
+        import numpy as np
         init, mats, den0, den = self._forward_model
         model = (np.array([v / den0 for v in init]),
                  np.array([[v / den for v in m] for m in mats]).reshape(-1, 3, 3))
@@ -246,6 +246,7 @@ def simulate(params: ChannelParams, n: int, rng: Rng) -> np.ndarray:
 
 def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
     """count output words of length n, one per row, drawn from gen."""
+    import numpy as np
     pf = np.array([float(w) for w in params.p])
     x_cdf = np.cumsum(pf)
     jf = np.array([float(params.jitter_weight(w)) for w in JITTER])
@@ -363,6 +364,7 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
 
 def _neg_entropy_sum(w: np.ndarray) -> float:
     """-sum of w log w over the entries of w, zeros contributing nothing."""
+    import numpy as np
     w = w[w > 0.0]
     terms = np.log(w)
     terms *= w
@@ -404,6 +406,7 @@ def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarr
     row's products, if those are more).  Traversal order is fixed, so float
     accumulation is reproducible.
     """
+    import numpy as np
     h, c, c_log_c = np.zeros(n), np.zeros(n), np.zeros(n)
     step, c1, c2 = model
     n_sym = c1.shape[1]
@@ -446,6 +449,7 @@ def _closed_levels(sums: tuple[np.ndarray, np.ndarray, np.ndarray], sigma: float
     levels, each from the lower ones (l >= 1).  The n <= cap levels are
     closed on Python floats, which costs less than numpy calls at this size.
     """
+    import numpy as np
     h, c, c_log_c = (a.tolist() for a in sums)
     pin = h if pinned is None else pinned.tolist()
     for m in range(1, len(h)):
@@ -461,9 +465,11 @@ def _entropy_sweeps(mats: np.ndarray, init: np.ndarray, n: int,
     The pinned sweep runs first and closes on its own lower levels; the sweep
     from init then closes on the pinned levels.
     """
+    import numpy as np
     sigma = float(mats[:, :, 1].sum())  # the one-step mass from state 0
     model = _sweep_model(mats)
-    pinned = _closed_levels(_sweep_sums(model, _PINNED, n, block_rows), sigma)
+    start = np.array([0.0, 1.0, 0.0])  # the forward vector of the empty word in jitter state 0
+    pinned = _closed_levels(_sweep_sums(model, start, n, block_rows), sigma)
     return _closed_levels(_sweep_sums(model, init, n, block_rows), sigma, pinned), pinned
 
 
@@ -539,6 +545,7 @@ def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEs
     runs cylinder_log_prob's loop on the float model in column layout."""
     if n < 1 or samples < 2:
         raise ValueError("need n >= 1 and samples >= 2")
+    import numpy as np
     init, mats = params._float_model
     flat = mats.reshape(-1, 9).T  # flat[:, y]: the row-major matrix of each symbol in y
     batch = 2048

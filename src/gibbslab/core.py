@@ -18,9 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Prob = Fraction | float
 
@@ -612,9 +613,11 @@ class Rng:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((self.seed, self.stream))))
 
     def task_generator(self, task: int) -> np.random.Generator:
+        import numpy as np
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((self.seed, self.stream, task))))

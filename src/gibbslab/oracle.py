@@ -12,8 +12,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .core import EnumerationCapError, Prob
 from .bitshift import JITTER, ChannelParams
 from .weak_gibbs import InteractionParams
@@ -106,6 +104,7 @@ def brute_block_entropy(params: ChannelParams, n: int) -> float:
     """H_n in nats from the fully materialized word distribution."""
     if not 1 <= n <= ORACLE_ENTROPY_CAP:
         raise EnumerationCapError(f"oracle entropy capped at n <= {ORACLE_ENTROPY_CAP}")
+    import numpy as np
     dist = brute_channel_distribution(params, n)
     ws = np.array([float(v) for v in dist.values()])
     ws = ws[ws > 0.0]

@@ -26,8 +26,6 @@ from fractions import Fraction
 from operator import itemgetter, lshift
 from typing import Iterable
 
-import numpy as np
-
 from .core import (
     Configuration,
     MeasureProvider,
@@ -57,6 +55,7 @@ def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[li
     """
     if isinstance(den, int):
         return list(values), den
+    import numpy as np
     frac, exp = np.frexp(np.fromiter(values, float) / den)
     mant = np.ldexp(frac, 53).astype(np.int64)  # v / den == mant * 2**(exp - 53)
     zeros = np.frexp((mant & -mant).astype(float))[1] - 1  # trailing zero bits
@@ -163,8 +162,14 @@ def _rest_groups(words: list, p: list, q: list,
 def _mean_gap(groups: list[tuple[int, int, int]], a: int) -> Fraction:
     """Sum over rest words r of P_rest(r) times r's L1 gap, (a_r / a) g_r /
     (a_r b_r) = g_r / (a b_r).  A rest word with g_r = 0 adds nothing; that
-    covers a_r = 0 or b_r = 0, where every term of g_r vanishes."""
-    return sum((Fraction(g_r, b_r) for _, b_r, g_r in groups if g_r), Fraction(0)) / a
+    covers a_r = 0 or b_r = 0, where every term of g_r vanishes.  The g_r
+    are summed as ints per distinct b_r, so one Fraction is built per
+    denominator, not per rest word."""
+    by_den: dict[int, int] = {}
+    for _, b_r, g_r in groups:
+        if g_r:
+            by_den[b_r] = by_den.get(b_r, 0) + g_r
+    return sum((Fraction(g, b_r) for b_r, g in by_den.items()), Fraction(0)) / a
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+from gibbslab import ChannelParams, Rng, entropy_levels
 from gibbslab.cli import SCHEMAS, _JSON_TYPES, _violation, main
 
 
@@ -598,3 +599,44 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "0", "1"], proc.stderr
     assert json.loads(proc.stderr)["message"].startswith("config rejected at $.n_max: 0 ")
     assert "n_times_cond" in (tmp_path / "table.csv").read_text()
+
+
+def test_rational_work_loads_no_numpy(tmp_path):
+    """Exact CLI jobs and library calls never import numpy; the first float
+    sweep or random generator loads it and gets the in-process values."""
+    jobs = [("wg-converge", VALID[("wg-converge", "probe")]),
+            ("relent", {**VALID[("relent", "tv_identity")],
+                        "mu": {"kind": "fair_coin"}}),
+            ("bs-cylinder", VALID[("bs-cylinder", None)]),
+            ("bs-badconfig", VALID[("bs-badconfig", None)])]
+    argvs = [[sub, "--config", write_cfg(tmp_path, f"{i}.json", cfg),
+              "--out", str(tmp_path / f"{i}.out")] for i, (sub, cfg) in enumerate(jobs)]
+    script = textwrap.dedent(f"""
+        import json, sys
+        from fractions import Fraction
+        import gibbslab, gibbslab.cli
+        from gibbslab import (BINARY, ChannelParams, FiniteVolumeMeasure,
+            InteractionParams, Rng, Window, binary_config, block_distribution,
+            conditional_gap_probe, config, cylinder_prob, entropy_levels, fair_coin,
+            regularity_probe, relative_entropy_density)
+        from gibbslab.oracle import brute_channel_distribution
+        print([gibbslab.cli.main(argv) for argv in {argvs!r}])
+        std = ChannelParams(2, 3, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4))
+        nu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 8), "rational")
+        cylinder_prob(std, [0, 2, 2])
+        block_distribution(std, 3)
+        regularity_probe(nu, config(BINARY, 0, [1]), binary_config([0] * 6), range(1, 5))
+        relative_entropy_density(nu, fair_coin(), 3)
+        conditional_gap_probe(nu, fair_coin(), Window(0, 0), 3)
+        brute_channel_distribution(std, 2)
+        print("numpy" in sys.modules)
+        levels = entropy_levels(ChannelParams(2, 3, (0.5, 0.5), 0.25), 4)
+        draws = Rng(1).generator().random(3)
+        print("numpy" in sys.modules)
+        print(json.dumps([levels.tolist(), draws.tolist()]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    want = json.dumps([entropy_levels(ChannelParams(2, 3, (0.5, 0.5), 0.25), 4).tolist(),
+                       Rng(1).generator().random(3).tolist()])
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0]", "False", "True", want], proc.stderr

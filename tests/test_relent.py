@@ -29,6 +29,7 @@ from gibbslab import (
     window_relative_entropy,
 )
 from gibbslab.core import TableMeasure
+from gibbslab.relent import _mean_gap
 
 SKEW = BernoulliMeasure(BINARY, (Fraction(1, 4), Fraction(3, 4)))
 DEFICIENT = BernoulliMeasure(BINARY, (Fraction(1), Fraction(0)))
@@ -198,6 +199,22 @@ def test_tv_identity_on_random_tables(raw_p, raw_q, lam_lo, span):
     res = tv_identity_check(nu, mu, Window(lam_lo, lam_hi), delta)
     assert res.exact
     assert res.equal
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    groups=st.lists(st.tuples(st.integers(min_value=0, max_value=50),
+                              st.integers(min_value=0, max_value=6),
+                              st.integers(min_value=0, max_value=3) | st.integers(min_value=0)),
+                    max_size=40),
+    a=st.integers(min_value=1, max_value=10**6),
+)
+def test_mean_gap_matches_the_per_rest_word_sum(groups, a):
+    # b_r = 0 leaves every term of g_r zero, so it only appears with g_r = 0
+    groups = [(a_r, b_r, g_r if b_r else 0) for a_r, b_r, g_r in groups]
+    literal = sum((Fraction(g_r, b_r) for _, b_r, g_r in groups if g_r), Fraction(0)) / a
+    got = _mean_gap(groups, a)
+    assert type(got) is Fraction and got == literal
 
 
 # ------------------------------------------------------------- conditional gaps
