@@ -35,6 +35,8 @@ from .core import (
     Rng,
     Window,
     ZeroProbabilityError,
+    _cylinder_fold,
+    _fold_quotient,
     as_prob,
     check_finite,
     check_weight_vector,
@@ -294,61 +296,40 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
     eps < 1/3 the conditional decays exponentially, by a factor of about
     eps / (1 - 2 eps) per row, and the column goes to 0.
 
-    The rows come from _paired_sums, one step per row, so the conditional
-    stays finite in float mode after both cylinder probabilities underflow.
+    The rows close rescaled folds along 2^n_max and [0, 2^n_max], so the
+    conditional stays finite in float mode after both cylinders underflow.
     """
     if not (params.d <= 2 <= params.k and params.d <= 3 <= params.k):
         raise ValueError("table needs symbols 2 and 3 in the input alphabet")
+    nu = BitShiftMeasure(params)
+    run = _cylinder_fold(nu, 1, (2,) * n_max)
+    joint = _cylinder_fold(nu, 0, (0,) + (2,) * n_max)
     rows = []
-    for n, (s_run, s_joint, scale) in enumerate(_paired_sums(params, (0,), (2,) * n_max), 1):
-        cond = scaled_quotient(s_joint, s_run)
-        rows.append(BadConfigRow(n, scaled_quotient(s_joint, scale),
-                                 scaled_quotient(s_run, scale), cond, n * cond))
+    for n in range(1, n_max + 1):
+        r, j = run(n), joint(n)
+        cond = _fold_quotient(j, r, nu.label)
+        rows.append(BadConfigRow(n, _fold_quotient(j), _fold_quotient(r), cond, n * cond))
     return tuple(rows)
 
 
-def _paired_sums(params: ChannelParams, head: Sequence[int], word: Sequence[int]):
-    """Per prefix u of word, (s_u, s_joint, scale): nu([u]) is s_u / scale and
-    nu([head u]) is s_joint / scale, so the conditional nu(head | u) is
-    s_joint / s_u.
-
-    The forward vectors of u and head u are stepped together, one step per
-    symbol of word.  In float mode both are divided by the sum of the first
-    after each step, and scale with them, so their ratio stays finite after
-    both probabilities underflow.  Raises ZeroProbabilityError once u has no
-    mass.
-    """
-    given, mats, scale, den = params._forward_model
-    joint = given
-    for v in head:
-        joint = _step(mats[v], joint)
-    lift = den ** len(head)  # puts both vectors over one scale
-    given, scale = tuple(a * lift for a in given), scale * lift
-    for v in word:
-        given, joint = _step(mats[v], given), _step(mats[v], joint)
-        scale *= den
-        z = sum(given)
-        if z == 0:
-            raise ZeroProbabilityError("conditioning word has probability zero")
-        if not params.exact:
-            given, joint = tuple(a / z for a in given), tuple(a / z for a in joint)
-            scale /= z
-            z = sum(given)
-        yield z, sum(joint), scale
+def _rescale(alpha: tuple) -> tuple[tuple, int]:
+    """(alpha / 2^e, e) with the sum of alpha / 2^e in [1, 2), as core._rescale."""
+    e = math.frexp(sum(alpha))[1] - 1
+    return tuple(math.ldexp(a, -e) for a in alpha), e
 
 
 def _walker(params: ChannelParams, n: int) -> tuple:
-    """(start, step, leaf, den) of the forward recursion over length-n output
-    words, on the numbers of cylinder_prob: a prefix's state is its forward
-    vector, dropped once it is zero, and a word's numerator is the vector's
-    sum over den0 * den^n."""
+    """(start, step, leaf, den, rescale) of the forward recursion over
+    length-n output words, on the numbers of cylinder_prob: a prefix's state
+    is its forward vector, dropped once it is zero, and a word's numerator
+    is the vector's sum over den0 * den^n; floats rescale with _rescale."""
     init, mats, den0, den = params._forward_model
 
     def step(alpha, i, y):
         nxt = _step(mats[y], alpha)
         return nxt if nxt != (0, 0, 0) else None
 
-    return init, step, sum, den0 * den ** n
+    return init, step, sum, den0 * den ** n, None if params.exact else _rescale
 
 
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
@@ -358,7 +339,7 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
         raise ValueError("n must be >= 1")
     if n > BLOCK_WORD_CAP:
         raise EnumerationCapError(f"block distribution capped at n <= {BLOCK_WORD_CAP}")
-    start, step, leaf, den = _walker(params, n)
+    start, step, leaf, den, _ = _walker(params, n)
     return scaled_quotients(prefix_walk(params.output_symbols, n, start, step, leaf), den)
 
 

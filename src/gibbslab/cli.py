@@ -40,12 +40,12 @@ from .core import (
     ZeroProbabilityError,
     as_prob,
     binary_config,
+    conditional_prob,
     config,
     fair_coin,
     format_prob,
     is_exact,
     regularity_probe,
-    scaled_quotient,
 )
 from . import bitshift as bs
 from . import oracle as orc
@@ -433,6 +433,7 @@ def _run_wg_badsets(cfg, mode, seed):
 
 def _run_bs_cylinder(cfg, mode, seed):
     params = _channel(cfg, mode)
+    nu = bs.BitShiftMeasure(params)
     results = []
     for query in cfg["queries"]:
         y = tuple(query["y"])
@@ -447,10 +448,8 @@ def _run_bs_cylinder(cfg, mode, seed):
             entry["given"] = list(given)
             entry["prob_given"] = bs.cylinder_prob(params, given)
             entry["prob_joint"] = bs.cylinder_prob(params, y + given)
-            # the paired step keeps a float conditional finite where both
-            # probabilities underflow
-            *_, (s_given, s_joint, _) = bs._paired_sums(params, y, given)
-            entry["conditional"] = scaled_quotient(s_joint, s_given)
+            entry["conditional"] = conditional_prob(
+                nu, config(nu.alphabet, 0, y), config(nu.alphabet, len(y), given))
         else:
             entry["prob"] = bs.cylinder_prob(params, y)
         results.append(entry)

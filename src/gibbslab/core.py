@@ -317,27 +317,53 @@ def glue(inner: Configuration, middle: Configuration | None,
     return Configuration(alphabet, win, tuple(values), tail)
 
 
-def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
-    """num(hi) -> (numerator, den) of the cylinder word[:hi - lo + 1] on
-    [lo, hi], for hi that never decrease.  The provider's step is folded
-    along word once, since start and step depend only on lo; each call
-    checks its window, steps the new sites and closes with the leaf and den
-    of the window that ends at hi."""
-    state = done = None  # done: the sites stepped so far, once started
+def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int],
+                   rescaled: bool = True):
+    """num(hi) -> (numerator, den, e) of the cylinder word[:hi - lo + 1] on
+    [lo, hi], which has probability numerator * 2^e / den, for hi that never
+    decrease.  The provider's step is folded along word once, since start
+    and step depend only on lo; each call checks its window, steps the new
+    sites (rescaling after each one if asked and the walker can) and closes
+    with the leaf and den of the window that ends at hi."""
+    state, done, e = None, None, 0  # done: the sites stepped so far, once started
 
     def num(hi: int):
-        nonlocal state, done
+        nonlocal state, done, e
         window = Window(lo, hi)
         provider.check_window(window)
-        start, step, leaf, den = provider._walker(window)
+        start, step, leaf, den, rescale = provider._walker(window)
         if done is None:
             state, done = start, 0
-        while done < window.size and state is not None:
+        while done <= hi - lo and state is not None:
             state = step(state, done, word[done])
             done += 1
-        return (0 if state is None else leaf(state)), den
+            if rescaled and rescale and state is not None:
+                state, k = rescale(state)
+                e += k
+        return (0 if state is None else leaf(state)), den, e
 
     return num
+
+
+def _rescale(acc: float) -> tuple[float, int]:
+    """(acc / 2^e, e) with acc / 2^e in [1, 2): never below a state of 1, so
+    a weight of 2^-1074 times it cannot round to 0, as it would at 1/2."""
+    e = math.frexp(acc)[1] - 1
+    return math.ldexp(acc, -e), e
+
+
+def _fold_quotient(joint: tuple, given: tuple = (1, 1, 0), label: str = "") -> Prob:
+    """P(joint) / P(given) from two _cylinder_fold closes (given defaults to
+    the sure event): a lowest-terms Fraction for int dens, else the quotient
+    of the rescaled probabilities times 2^(e_joint - e_given), which stays
+    finite where both underflow and has the plain quotient's bits where no
+    step leaves the normal range.  ZeroProbabilityError if given has no mass."""
+    (j, den_j, e_j), (g, den_g, e_g) = joint, given
+    if g == 0:
+        raise ZeroProbabilityError(f"{label}: conditioning cylinder has probability zero")
+    if isinstance(den_j, int):
+        return Fraction(j * den_g, g * den_j)
+    return math.ldexp(j / den_j / (g / den_g), e_j - e_g)
 
 
 class MeasureProvider:
@@ -355,11 +381,14 @@ class MeasureProvider:
     support_window: Window | None = None
 
     def _walker(self, window: Window) -> tuple:
-        """(start, step, leaf, den) for the words on the window.
+        """(start, step, leaf, den, rescale) for the words on the window.
         step(state, i, s) is the state after symbol s at the window's i-th
         site, or None once the prefix has no mass; leaf(state) is the word's
         probability times den.  Exact providers step ints over an int den;
-        the others step floats over a float den.
+        the others step floats over a float den.  rescale(state) is
+        (state / 2^e, e), exact in the normal range, so a fold that rescales
+        each step keeps a long word's mass finite; it is None where a state
+        cannot underflow (exact providers, float ones far above 2^-1022).
 
         States are hashable, and states that compare equal can be swapped
         for each other: same type and bits, so the same steps and leaf.
@@ -375,7 +404,8 @@ class MeasureProvider:
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
-        return scaled_quotient(*_cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi))
+        fold = _cylinder_fold(self, cfg.window.lo, cfg.values, rescaled=False)
+        return _fold_quotient(fold(cfg.window.hi))
 
     def log_prob(self, cfg: Configuration) -> float:
         p = self.prob(cfg)
@@ -408,7 +438,7 @@ class MeasureProvider:
             raise EnumerationCapError(
                 f"{len(self.alphabet)}^{window.size} words exceeds the cap")
         self.check_window(window)
-        start, step, leaf, den = self._walker(window)
+        start, step, leaf, den, _ = self._walker(window)
         nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
         if len(nums) < n_words:
             nums = {w: nums.get(w, 0) for w in self.words(window)}
@@ -445,7 +475,7 @@ class BernoulliMeasure(MeasureProvider):
         weights <= 1 cannot underflow before its final value does."""
         nums = self._nums
         return (self._den ** 0, lambda acc, i, s: acc * nums[s], lambda acc: acc,
-                self._den ** window.size)
+                self._den ** window.size, None if self.exact else _rescale)
 
     def log_prob(self, cfg: Configuration) -> float:
         self.check_config(cfg)
@@ -500,26 +530,20 @@ class TableMeasure(MeasureProvider):
         for w, x in self._entries:
             key = w[cut]
             marginal[key] = get(key, zero) + x
-        return (), lambda word, i, s: word + (s,), marginal.__getitem__, self._den
+        return (), lambda word, i, s: word + (s,), marginal.__getitem__, self._den, None
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,
                      given: Configuration) -> Prob:
-    """P(target | given) for adjacent cylinders, as P(target and given)/P(given).
-
-    Float mode divides two plain cylinder probabilities, so a long word
-    underflows: on the float channel (0.5, 0.5), eps 0.25, P(0 | 2^n) comes
-    back 0.0 at n = 429 (exactly 1.127e-131) and raises ZeroProbabilityError
-    at n = 600, where log P(2^600) is -831.08.  The `_walker` contract has no
-    rescaling step to avoid this; rational mode is exact at any length.
-    """
+    """P(target | given) for adjacent cylinders, as P(target and given)/P(given),
+    from one rescaled fold of the provider's walker along each cylinder, so
+    a float conditional stays finite where both cylinders underflow."""
     joint = glue(target, None, given) if target.window.lo < given.window.lo \
         else glue(given, None, target)
-    denom = provider.prob(given)
-    if denom == 0:
-        raise ZeroProbabilityError(
-            f"{provider.label}: conditioning cylinder has probability zero")
-    return provider.prob(joint) / denom
+    provider.check_config(given)
+    g = _cylinder_fold(provider, given.window.lo, given.values)(given.window.hi)
+    j = _cylinder_fold(provider, joint.window.lo, joint.values)(joint.window.hi)
+    return _fold_quotient(j, g, provider.label)
 
 
 def tv_distance(p: Mapping, q: Mapping) -> Prob:
@@ -555,13 +579,9 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
     conditioning cylinder truncates the sequence and is reported via failed_at.
 
     Each value is conditional_prob(provider, target, omega on [lo, n]), from
-    one fold of the provider's walker along target + omega and one along
-    omega: the conditioning words are nested prefixes of one omega, so each
-    n only steps its new sites and closes both cylinders.
-
-    Float mode shares conditional_prob's underflow: on the float channel
-    (0.5, 0.5), eps 0.25, with target [0] and omega 2^800, the value at
-    n = 400 is 0.0 (exactly 6.05e-123), and failed_at is 600.
+    one rescaled fold of the provider's walker along target + omega and one
+    along omega: the conditioning words are nested prefixes of one omega, so
+    each n only steps its new sites and closes both cylinders.
     """
     lo = target.window.hi + 1
     given: list[int] = []
@@ -582,13 +602,12 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
             raise ValueError("alphabet mismatch between glued pieces")
         if omega.alphabet != provider.alphabet:
             raise ValueError(f"{provider.label}: alphabet mismatch")
-        g, den_g = given_num(n)
-        if g == 0:
+        g = given_num(n)
+        try:
+            values.append(_fold_quotient(joint_num(n), g, provider.label))
+        except ZeroProbabilityError:
             failed_at = n
             break
-        j, den_j = joint_num(n)
-        values.append(Fraction(j * den_g, g * den_j) if isinstance(den_g, int)
-                      else scaled_quotient(j, den_j) / scaled_quotient(g, den_g))
         ns.append(n)
     tail = values[-(stability_window + 1):]
     converged = (

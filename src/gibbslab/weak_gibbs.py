@@ -379,10 +379,11 @@ class FiniteVolumeMeasure(MeasureProvider):
 
     def _walker(self, window: Window) -> tuple:
         """_step one site per symbol from the window's prefix state, and
-        _close each word after the window."""
+        _close each word after the window.  No rescale: up to VOLUME_CAP no
+        word's mass is near underflow (at most m/2 + 1 factors in [1/e, e])."""
         lo, step = window.lo, self._step
         return (self._prefix[lo], lambda state, i, s: step(state, lo + i, s),
-                lambda state: self._close(state, window.hi + 1), self._total)
+                lambda state: self._close(state, window.hi + 1), self._total, None)
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)

@@ -317,6 +317,18 @@ def test_float_conditional_survives_underflow(tmp_path, capsys, n):
     assert want > 0 and abs(got - want) <= Fraction(1, 10**12) * want
 
 
+def test_float_conditional_is_the_rounded_quotient(tmp_path, capsys):
+    # nu(0 | 2) is exactly 1/80, so the float conditional is the double 0.0125
+    cfg = write_cfg(tmp_path, "c.json", {**STD_CHANNEL, "queries": [{"y": [0], "given": [2]}]})
+    code, out, err = invoke(capsys, ["bs-cylinder", "--config", cfg, "--mode", "float"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"][0]["conditional"] == 0.0125
+    # a given with no mass still fails in float mode
+    zero = write_cfg(tmp_path, "z.json", {**STD_CHANNEL, "queries": [{"y": [2], "given": [0, 0]}]})
+    expect_error(capsys, ["bs-cylinder", "--config", zero, "--mode", "float"], 3,
+                 "numeric-failure")
+
+
 def test_failures_write_no_output_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {**STD_CHANNEL, "experiment": "levels", "n_max": 20})

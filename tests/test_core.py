@@ -13,6 +13,7 @@ from gibbslab import (
     BINARY,
     Alphabet,
     BernoulliMeasure,
+    BitShiftMeasure,
     ChannelParams,
     Rng,
     Tail,
@@ -342,6 +343,33 @@ def test_conditional_prob_zero_conditioning_event_raises():
     nu = BernoulliMeasure(BINARY, (Fraction(1), Fraction(0)))
     with pytest.raises(ZeroProbabilityError):
         conditional_prob(nu, config(BINARY, 0, [0]), config(BINARY, 1, [1]))
+
+
+@pytest.mark.parametrize("n", [429, 600])
+def test_float_channel_conditional_survives_underflow(n):
+    # nu([0, 2^n]) underflows a double at both n, and nu([2^n]) at 600
+    rough = BitShiftMeasure(ChannelParams(2, 3, (0.5, 0.5), 0.25))
+    exact = BitShiftMeasure(ChannelParams(2, 3, (Fraction(1, 2),) * 2, Fraction(1, 4)))
+    target, given = config(rough.alphabet, 0, [0]), config(rough.alphabet, 1, [2] * n)
+    want = conditional_prob(exact, target, given)
+    got = conditional_prob(rough, target, given)
+    assert type(got) is float and want > 0
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+
+def test_float_coin_conditional_survives_underflow():
+    # 0.5^1100 underflows a double; each cylinder's rescaled fold does not
+    coin = BernoulliMeasure(BINARY, (0.5, 0.5))
+    assert conditional_prob(coin, config(BINARY, 0, [0]), config(BINARY, 1, [1] * 1100)) == 0.5
+
+
+def test_float_conditional_keeps_a_subnormal_weight():
+    # 2^-1074 times a rescaled state of 1 must not round to 0, or the
+    # conditioning cylinder would lose the mass prob gives it
+    nu = BernoulliMeasure(BINARY, (5e-324, 1.0))
+    assert nu.prob(config(BINARY, 1, [1, 1, 0])) == 5e-324
+    assert conditional_prob(nu, config(BINARY, 0, [1]), config(BINARY, 1, [1, 1, 0])) == 1.0
+    assert conditional_prob(nu, config(BINARY, 0, [0]), config(BINARY, 1, [1, 0, 1])) == 5e-324
 
 
 # ----------------------------------------------------------- tv distance

@@ -9,6 +9,7 @@ drift over random exact channels and random rho.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbslab import (
@@ -18,8 +19,10 @@ from gibbslab import (
     FiniteVolumeMeasure,
     InteractionParams,
     Tail,
+    ZeroProbabilityError,
     bad_config_table,
     block_distribution,
+    conditional_prob,
     config,
     cylinder_log_prob,
     cylinder_prob,
@@ -28,6 +31,7 @@ from gibbslab import (
 )
 
 REL = 1e-12
+TINY = 2.0 ** -1022  # the smallest normal double
 
 
 def assert_close(got, want, floor=0.0):
@@ -67,6 +71,10 @@ def test_channel_float_mode_tracks_rational_mode(twins, data):
             # a relative error d on a probability is an absolute error d on
             # its log, so below |log p| = 1 the bound is absolute
             assert_close(cylinder_log_prob(rough, word), cylinder_log_prob(exact, word), 1.0)
+        if len(word) > 1:
+            cut, left = data.draw(st.integers(1, len(word) - 1)), data.draw(st.booleans())
+            for params in twins:
+                _assert_conditional_is_the_quotient(BitShiftMeasure(params), word, cut, left)
     n = data.draw(st.integers(1, 4))
     want = block_distribution(exact, n)
     got = block_distribution(rough, n)
@@ -80,6 +88,25 @@ def test_channel_float_mode_tracks_rational_mode(twins, data):
     target = config(BitShiftMeasure(exact).alphabet, 0, word[:1])
     omega = config(target.alphabet, 1, tuple(word[1:]) + (2, 3), Tail.UNSPECIFIED)
     _assert_probes_close(BitShiftMeasure(rough), BitShiftMeasure(exact), target, omega)
+
+
+def _assert_conditional_is_the_quotient(nu, word, cut, left):
+    """conditional_prob of one side of word cut at cut, given the other,
+    against P(word) / P(given): == in rational mode, and the same bits in
+    float mode wherever neither cylinder is subnormal."""
+    head, rest = config(nu.alphabet, 0, word[:cut]), config(nu.alphabet, cut, word[cut:])
+    target, given = (head, rest) if left else (rest, head)
+    p_given, p_joint = nu.prob(given), nu.prob(config(nu.alphabet, 0, word))
+    if not p_given:
+        with pytest.raises(ZeroProbabilityError):
+            conditional_prob(nu, target, given)
+        return
+    got, want = conditional_prob(nu, target, given), p_joint / p_given
+    assert type(got) is type(want)
+    if isinstance(want, Fraction):
+        assert got == want
+    elif p_given >= TINY and (p_joint == 0 or p_joint >= TINY):
+        assert got.hex() == want.hex()
 
 
 def _assert_probes_close(rough, exact, target, omega):

@@ -188,3 +188,16 @@ def test_probe_matches_the_literal_loop_on_random_inputs(family, exact, data):
     n_range = data.draw(st.lists(st.integers(lo - 1, lo + 9), max_size=6))
     assert_same(provider, config(provider.alphabet, 0, target),
                 config(provider.alphabet, lo, omega, tail), n_range)
+
+
+def test_float_probe_survives_underflow():
+    # nu([0, 2^n]) = eps (p2 eps)^(n + 1) underflows a double at each n, and
+    # nu([2^n]) from n = 600 on; the exact value at n = 400 is 6.05e-123
+    ns = [400, 600, 800]
+    got, want = (regularity_probe(nu, config(nu.alphabet, 0, (0,)),
+                                  config(nu.alphabet, 1, (2,) * 800), ns)
+                 for nu in (_channel(False), _channel(True)))
+    assert got.failed_at is None and got.ns == want.ns == tuple(ns)
+    assert f"{got.values[0]:.3g}" == "6.05e-123"
+    for g, w in zip(got.values, want.values, strict=True):
+        assert type(g) is float and abs(Fraction(g) - w) <= Fraction(1, 10**12) * w
