@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -156,56 +157,66 @@ def transition_matrices(params: ChannelParams) -> dict[int, list[list[Prob]]]:
             for y in params.output_symbols}
 
 
+def _symbol(v) -> int:
+    """v as an output symbol: an int, a numpy integer or an integral float."""
+    if isinstance(v, float) and v.is_integer() or (
+            isinstance(v, numbers.Integral) and not isinstance(v, bool)):
+        return int(v)
+    raise TypeError(f"output symbol {v!r} is not an integer")
+
+
 def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
-    word = tuple(int(v) for v in y)
+    word = tuple(y)
     if not word:
         raise ValueError("empty output word")
-    for v in word:
-        if not 0 <= v <= params.k + 2:
-            raise ValueError(f"output symbol {v} outside 0..{params.k + 2}")
+    if not set(map(type, word)) <= {int}:  # plain ints need no per-symbol pass
+        word = tuple(map(_symbol, word))
+    if min(word) < 0 or max(word) > params.k + 2:
+        bad = next(v for v in word if not 0 <= v <= params.k + 2)
+        raise ValueError(f"output symbol {bad} outside 0..{params.k + 2}")
     return word
 
 
-def _step(m: tuple, alpha: tuple) -> tuple:
-    """One forward step, alpha'[t] = sum over s of m[t][s] alpha[s], on the
-    row-major matrix of ChannelParams._forward_model."""
+def _forward(alpha: tuple, mats: Iterable, log=None, out=0.0) -> tuple[tuple, object]:
+    """(alpha, out) after stepping alpha through the row-major matrices mats
+    of ChannelParams._forward_model, alpha'[t] = sum over s of m[t][s]
+    alpha[s].  With log set, each step divides the vector by its sum z and
+    adds log z to out, so long words do not underflow.  Runs on scalars (log
+    is math.log) and on arrays with one entry per sample (log is np.log)."""
     a0, a1, a2 = alpha
-    return (m[0] * a0 + m[1] * a1 + m[2] * a2,
-            m[3] * a0 + m[4] * a1 + m[5] * a2,
-            m[6] * a0 + m[7] * a1 + m[8] * a2)
+    if log is None:
+        for m0, m1, m2, m3, m4, m5, m6, m7, m8 in mats:
+            a0, a1, a2 = (m0 * a0 + m1 * a1 + m2 * a2,
+                          m3 * a0 + m4 * a1 + m5 * a2,
+                          m6 * a0 + m7 * a1 + m8 * a2)
+        return (a0, a1, a2), out
+    for m0, m1, m2, m3, m4, m5, m6, m7, m8 in mats:
+        a0, a1, a2 = (m0 * a0 + m1 * a1 + m2 * a2,
+                      m3 * a0 + m4 * a1 + m5 * a2,
+                      m6 * a0 + m7 * a1 + m8 * a2)
+        z = a0 + a1 + a2
+        out += log(z)
+        a0, a1, a2 = a0 / z, a1 / z, a2 / z
+    return (a0, a1, a2), out
 
 
 def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
     """Output-cylinder probability via the three-state forward recursion."""
     word = _check_word(params, y)
-    alpha, mats, den0, den = params._forward_model
-    for v in word:
-        alpha = _step(mats[v], alpha)
+    init, mats, den0, den = params._forward_model
+    alpha = _forward(init, map(mats.__getitem__, word))[0]
     return scaled_quotient(sum(alpha), den0 * den ** len(word))
 
 
-def _rescaled_log_mass(out, alpha: tuple, mats: Iterable, log):
-    """out plus the log of the mass left after stepping alpha through mats,
-    dividing the vector by its sum z after each _step and adding log z, so
-    long words do not underflow.  Runs on scalars (log is math.log) and on
-    arrays with one entry per sample (log is np.log)."""
-    for m in mats:
-        a0, a1, a2 = _step(m, alpha)
-        z = a0 + a1 + a2
-        out += log(z)
-        alpha = (a0 / z, a1 / z, a2 / z)
-    return out
-
-
 def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
-    """log of the cylinder probability: _rescaled_log_mass on the forward
+    """log of the cylinder probability: _forward with math.log on the forward
     model of cylinder_prob, after taking an exact model's integer scale off
     as log den0 + n log den (after the first step the vector holds floats)."""
     word = _check_word(params, y)
-    alpha, mats, den0, den = params._forward_model
+    init, mats, den0, den = params._forward_model
     try:
-        return _rescaled_log_mass(-math.log(den0) - len(word) * math.log(den), alpha,
-                                  map(mats.__getitem__, word), math.log)
+        return _forward(init, map(mats.__getitem__, word), math.log,
+                        -math.log(den0) - len(word) * math.log(den))[1]
     except ValueError:  # math.log(0): the word's mass died
         raise ZeroProbabilityError("inadmissible output word") from None
 
@@ -325,8 +336,12 @@ def _walker(params: ChannelParams, n: int) -> tuple:
     is the vector's sum over den0 * den^n; floats rescale with _rescale."""
     init, mats, den0, den = params._forward_model
 
-    def step(alpha, i, y):
-        nxt = _step(mats[y], alpha)
+    def step(alpha, i, y):  # one step of _forward
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = mats[y]
+        a0, a1, a2 = alpha
+        nxt = (m0 * a0 + m1 * a1 + m2 * a2,
+               m3 * a0 + m4 * a1 + m5 * a2,
+               m6 * a0 + m7 * a1 + m8 * a2)
         return nxt if nxt != (0, 0, 0) else None
 
     return init, step, sum, den0 * den ** n, None if params.exact else _rescale
@@ -523,7 +538,7 @@ class SmbEstimate:
 def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEstimate:
     """Monte-Carlo entropy-rate estimate: mean of -(1/n) log nu(y) over
     simulated words, drawn in deterministic per-task batches.  Each batch
-    runs cylinder_log_prob's loop on the float model in column layout."""
+    runs cylinder_log_prob's _forward on the float model in column layout."""
     if n < 1 or samples < 2:
         raise ValueError("need n >= 1 and samples >= 2")
     import numpy as np
@@ -535,7 +550,7 @@ def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEs
         count = min(batch, samples - start)
         y = _simulate(params, n, count, rng.task_generator(task))
         alpha = tuple(np.full(count, a) for a in init)
-        logp = _rescaled_log_mass(0.0, alpha, (flat[:, col] for col in y.T), np.log)
+        logp = _forward(alpha, (flat[:, col] for col in y.T), np.log)[1]
         vals.append(-logp / n)
     v = np.concatenate(vals)
     return SmbEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples)),

@@ -436,7 +436,7 @@ def _run_bs_cylinder(cfg, mode, seed):
     nu = bs.BitShiftMeasure(params)
     results = []
     for query in cfg["queries"]:
-        y = tuple(query["y"])
+        y = tuple(map(int, query["y"]))  # the schema took 2.0 as an integer
         entry: dict = {"y": list(y)}
         adm = bs.is_admissible(params, y)
         entry["admissible"] = adm.admissible
@@ -444,7 +444,7 @@ def _run_bs_cylinder(cfg, mode, seed):
             entry["witness_x"] = list(adm.x)
             entry["witness_jitter"] = list(adm.omega)
         if "given" in query:
-            given = tuple(query["given"])
+            given = tuple(map(int, query["given"]))
             entry["given"] = list(given)
             entry["prob_given"] = bs.cylinder_prob(params, given)
             entry["prob_joint"] = bs.cylinder_prob(params, y + given)

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gibbslab import (
     BitShiftMeasure,
@@ -41,6 +43,14 @@ SWEEP_CHANNELS = (
     STD_FLOAT,
     ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
     ChannelParams(2, 3, (0.5, 0.5), 0.0),
+)
+
+# the benchmark's two cylinder channels, in both modes
+BENCH_CHANNELS = (
+    ChannelParams(2, 3, HALF, Fraction(1, 4)),
+    STD_FLOAT,
+    ChannelParams(2, 4, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), Fraction(1, 8)),
+    ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
 )
 
 
@@ -171,6 +181,99 @@ def test_cylinder_word_validation(std_channel):
         cylinder_prob(std_channel, ())
     with pytest.raises(ValueError):
         cylinder_prob(std_channel, (6,))  # outputs stop at k+2 = 5
+    with pytest.raises(ValueError, match="symbol 7 outside"):
+        cylinder_prob(std_channel, (2, 7, -1))  # the first bad symbol is named
+
+
+@pytest.mark.parametrize("fn", [cylinder_prob, cylinder_log_prob, is_admissible])
+@pytest.mark.parametrize("bad", [2.7, True, "2", np.True_, np.float64(2.5), None])
+def test_non_integer_symbols_are_rejected(std_channel, fn, bad):
+    # 2.7 used to be read as 2, True as 1, and "2" as 2
+    named = re.escape(f"output symbol {bad!r} is not an integer")
+    with pytest.raises(TypeError, match=named):
+        fn(std_channel, [bad, 3])
+    with pytest.raises(TypeError, match=named):
+        fn(STD_FLOAT, (2, 3, bad))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(params=st.sampled_from(BENCH_CHANNELS),
+       word=st.lists(st.integers(0, 4), min_size=1, max_size=30))
+def test_numpy_and_integral_float_words_read_as_int_words(params, word):
+    for fn in (cylinder_prob, is_admissible, _log_prob_or_none):
+        want = fn(params, word)
+        assert fn(params, np.array(word, dtype=np.int64)) == want
+        assert fn(params, [float(v) for v in word]) == want
+
+
+def _log_prob_or_none(params, word):
+    try:
+        return cylinder_log_prob(params, word)
+    except ZeroProbabilityError:
+        return None
+
+
+def _literal_cylinder(params, word):
+    """(prob, log prob) by a literal forward loop on the numbers of
+    _forward_model; log prob is None where the word's mass dies."""
+    init, mats, den0, den = params._forward_model
+    n = len(word)
+    a = list(init)
+    for v in word:
+        m = mats[v]
+        a = [m[3 * t] * a[0] + m[3 * t + 1] * a[1] + m[3 * t + 2] * a[2] for t in range(3)]
+    total, scale = a[0] + a[1] + a[2], den0 * den ** n
+    prob = Fraction(total, scale) if params.exact else total / scale
+    log = -math.log(den0) - n * math.log(den)
+    a = list(init)
+    for v in word:
+        m = mats[v]
+        a = [m[3 * t] * a[0] + m[3 * t + 1] * a[1] + m[3 * t + 2] * a[2] for t in range(3)]
+        z = a[0] + a[1] + a[2]
+        if z == 0:
+            return prob, None
+        log += math.log(z)
+        a = [a[0] / z, a[1] / z, a[2] / z]
+    return prob, log
+
+
+@st.composite
+def channel_words(draw):
+    """A bench channel in either mode and a word of length up to 800: a
+    sampled one, the same with a forbidden 00 written in, or a raw one."""
+    params = draw(st.sampled_from(BENCH_CHANNELS))
+    n = draw(st.integers(1, 800))
+    kind = draw(st.sampled_from(("sampled", "forbidden", "raw")))
+    if kind == "raw":
+        return params, tuple(draw(st.lists(st.integers(0, params.k + 2),
+                                           min_size=1, max_size=n)))
+    word = simulate(params, n, Rng(draw(st.integers(0, 2**32 - 1)))).tolist()
+    if kind == "forbidden":
+        i = draw(st.integers(0, n - 1))
+        word[i:i + 2] = [0, 0]
+    return params, tuple(word)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=channel_words())
+@example(case=(STD_FLOAT, (2,) * 800))  # prob underflows a double, its log does not
+@example(case=(STD_FLOAT, (2, 0, 0)))   # the mass dies after the first step
+def test_cylinders_keep_the_literal_forward_loops_bits(case):
+    params, word = case
+    prob, log = _literal_cylinder(params, word)
+    got = cylinder_prob(params, word)
+    assert type(got) is type(prob)
+    if params.exact:
+        assert got == prob
+    else:
+        assert got.hex() == prob.hex()
+    if log is None:
+        assert prob == 0
+        with pytest.raises(ZeroProbabilityError):
+            cylinder_log_prob(params, word)
+    else:
+        assert math.isfinite(log)
+        assert cylinder_log_prob(params, word).hex() == log.hex()
 
 
 def test_log_prob_of_long_words_tracks_rational_mode(std_channel):
@@ -375,6 +478,13 @@ def test_smb_estimate_is_cylinder_log_prob_on_the_simulated_words(params):
     mean, stderr = float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
     assert abs(got.mean - mean) <= 1e-15 * abs(mean)
     assert abs(got.stderr - stderr) <= 1e-15 * abs(stderr)
+
+
+def test_smb_estimate_keeps_its_bits():
+    # the float-kernel bench op's estimate, at seed 1
+    est = smb_estimate(STD_FLOAT, 200, 2000, Rng(1, 7))
+    assert est.mean.hex() == "0x1.67e21ea8360efp+0"
+    assert est.stderr.hex() == "0x1.a30a47bca096bp-11"
 
 
 def test_smb_estimate_validation(std_channel):

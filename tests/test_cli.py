@@ -329,6 +329,20 @@ def test_float_conditional_is_the_rounded_quotient(tmp_path, capsys):
                  "numeric-failure")
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_bs_cylinder_reads_integral_floats_as_ints(tmp_path, capsys, mode):
+    # the schema calls 2.0 an integer; a float given used to exit 1 with a TypeError
+    results = []
+    for name, query in (("f.json", {"y": [0.0], "given": [2.0]}),
+                        ("i.json", {"y": [0], "given": [2]})):
+        cfg = write_cfg(tmp_path, name, {**STD_CHANNEL, "queries": [query]})
+        code, out, err = invoke(capsys, ["bs-cylinder", "--config", cfg, "--mode", mode])
+        assert code == 0 and err == ""
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+    assert all(type(v) is int for v in results[0][0]["y"] + results[0][0]["given"])
+
+
 def test_failures_write_no_output_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {**STD_CHANNEL, "experiment": "levels", "n_max": 20})
