@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,10 +33,10 @@ from .core import (
     MeasureProvider,
     Prob,
     Rng,
-    Window,
     ZeroProbabilityError,
     _cylinder_fold,
     _fold_quotient,
+    _symbols,
     as_prob,
     check_finite,
     check_weight_vector,
@@ -124,6 +123,23 @@ class ChannelParams:
                 den0, den)
 
     @cached_property
+    def _support_masks(self) -> tuple[list, list]:
+        """(nxt, pre) for is_admissible, built once per instance, every
+        weight treated as positive: output y steps jitter state s to t when
+        d <= y - t + s <= k.  A mask holds bit j for JITTER[j]; nxt[y][mask]
+        is the mask of the states y steps some state of mask to, and
+        pre[y][j] the mask of the states y steps to JITTER[j]."""
+        d, k = self.d, self.k
+        nxt, pre = [], []
+        for y in self.output_symbols:
+            steps = [[d <= y - t + s <= k for t in JITTER] for s in JITTER]
+            reach = [sum(1 << j for j in range(3) if row[j]) for row in steps]
+            nxt.append([(mask & 1 and reach[0]) | (mask & 2 and reach[1])
+                        | (mask & 4 and reach[2]) for mask in range(8)])
+            pre.append([sum(1 << i for i in range(3) if steps[i][j]) for j in range(3)])
+        return nxt, pre
+
+    @cached_property
     def _float_model(self) -> tuple[np.ndarray, np.ndarray]:
         """(init, mats) of _forward_model as read-only float arrays of shape
         (3,) and (n_sym, 3, 3), for the numpy paths; every caller shares them.
@@ -157,20 +173,10 @@ def transition_matrices(params: ChannelParams) -> dict[int, list[list[Prob]]]:
             for y in params.output_symbols}
 
 
-def _symbol(v) -> int:
-    """v as an output symbol: an int, a numpy integer or an integral float."""
-    if isinstance(v, float) and v.is_integer() or (
-            isinstance(v, numbers.Integral) and not isinstance(v, bool)):
-        return int(v)
-    raise TypeError(f"output symbol {v!r} is not an integer")
-
-
 def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
-    word = tuple(y)
+    word = _symbols(y, "output symbol")
     if not word:
         raise ValueError("empty output word")
-    if not set(map(type, word)) <= {int}:  # plain ints need no per-symbol pass
-        word = tuple(map(_symbol, word))
     if min(word) < 0 or max(word) > params.k + 2:
         bad = next(v for v in word if not 0 <= v <= params.k + 2)
         raise ValueError(f"output symbol {bad} outside 0..{params.k + 2}")
@@ -231,22 +237,24 @@ class AdmissibilityResult:
 def is_admissible(params: ChannelParams, y: Sequence[int]) -> AdmissibilityResult:
     """Structural admissibility (all weights treated as positive), with witness.
 
-    Runs the support version of the forward recursion, then backtracks the
-    first feasible chain into a preimage (x, omega).
+    Runs the support version of the forward recursion, one _support_masks
+    lookup per symbol, then backtracks from the last symbol, taking the
+    least state that steps to the one after it, into a preimage (x, omega).
     """
     word = _check_word(params, y)
-    supports = [set(JITTER)]
+    nxt, pre = params._support_masks
+    masks = [7]  # masks[i]: the states a chain can be in before symbol i
     for v in word:
-        prev = supports[-1]
-        cur = {t for t in JITTER for s in prev if params.d <= v - t + s <= params.k}
-        if not cur:
-            return AdmissibilityResult(False, None, None)
-        supports.append(cur)
-    # backtrack lexicographically smallest jitter chain
-    chain = [min(supports[-1])]
-    for i in range(len(word) - 1, -1, -1):
-        t = chain[-1]
-        chain.append(min(s for s in supports[i] if params.d <= word[i] - t + s <= params.k))
+        masks.append(nxt[v][masks[-1]])
+    mask = masks[-1]
+    if not mask:  # an empty mask stays empty
+        return AdmissibilityResult(False, None, None)
+    chain = []
+    for v, prev in zip(reversed(word), masks[-2::-1]):
+        t = JITTER[(mask & -mask).bit_length() - 1]  # the state of mask's lowest bit
+        chain.append(t)
+        mask = prev & pre[v][t + 1]  # JITTER[t + 1] is t
+    chain.append(JITTER[(mask & -mask).bit_length() - 1])
     omega = tuple(reversed(chain))
     x = tuple(word[i] - omega[i + 1] + omega[i] for i in range(len(word)))
     return AdmissibilityResult(True, x, omega)
@@ -285,8 +293,8 @@ class BitShiftMeasure(MeasureProvider):
         self.check_config(cfg)
         return cylinder_log_prob(self.params, cfg.values)
 
-    def _walker(self, window: Window) -> tuple:
-        return _walker(self.params, window.size)
+    def _walker(self, lo: int) -> tuple:
+        return _walker(self.params, lo)
 
 
 @dataclass(frozen=True)
@@ -329,11 +337,12 @@ def _rescale(alpha: tuple) -> tuple[tuple, int]:
     return tuple(math.ldexp(a, -e) for a in alpha), e
 
 
-def _walker(params: ChannelParams, n: int) -> tuple:
-    """(start, step, leaf, den, rescale) of the forward recursion over
-    length-n output words, on the numbers of cylinder_prob: a prefix's state
-    is its forward vector, dropped once it is zero, and a word's numerator
-    is the vector's sum over den0 * den^n; floats rescale with _rescale."""
+def _walker(params: ChannelParams, lo: int) -> tuple:
+    """(start, step, rescale, close) of the forward recursion over output
+    words on [lo, hi], on the numbers of cylinder_prob: a prefix's state is
+    its forward vector, dropped once it is zero, and close(hi) gives a
+    word's numerator as the vector's sum over den0 * den^(hi - lo + 1);
+    floats rescale with _rescale."""
     init, mats, den0, den = params._forward_model
 
     def step(alpha, i, y):  # one step of _forward
@@ -344,7 +353,8 @@ def _walker(params: ChannelParams, n: int) -> tuple:
                m6 * a0 + m7 * a1 + m8 * a2)
         return nxt if nxt != (0, 0, 0) else None
 
-    return init, step, sum, den0 * den ** n, None if params.exact else _rescale
+    return (init, step, None if params.exact else _rescale,
+            lambda hi: (sum, den0 * den ** (hi - lo + 1)))
 
 
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
@@ -354,7 +364,8 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
         raise ValueError("n must be >= 1")
     if n > BLOCK_WORD_CAP:
         raise EnumerationCapError(f"block distribution capped at n <= {BLOCK_WORD_CAP}")
-    start, step, leaf, den, _ = _walker(params, n)
+    start, step, _, close = _walker(params, 1)
+    leaf, den = close(n)
     return scaled_quotients(prefix_walk(params.output_symbols, n, start, step, leaf), den)
 
 

@@ -5,17 +5,20 @@ Probabilities travel in one of two modes.  Rational mode hands out
 common denominator inside, see `integer_scaled`), so marginalization
 identities hold exactly and tests can compare with `==`.  Float mode uses
 IEEE doubles.  Mode is carried by the values themselves (Fraction vs float),
-not by a global switch.  Each measure is one step function over a window's
-sites (`MeasureProvider._walker`): `prob` folds it along one word, a
-whole-window distribution walks it one site at a time, stepping each
-distinct state once (`prefix_walk`), and `regularity_probe` folds it once
-along a growing word.
+not by a global switch.  Each measure is one walker per first site lo
+(`MeasureProvider._walker(lo)`): a step function over the sites from lo
+and a close that gives each window [lo, hi] its leaf and denominator.
+`prob` folds the step along one word and closes once, a whole-window
+distribution walks it one site at a time, stepping each distinct state
+once (`prefix_walk`), and `regularity_probe` fetches one walker per fold,
+folds it once along a growing word and closes it at every n.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -161,6 +164,20 @@ def parse_prob(text: str) -> Prob:
         return float(text)
 
 
+def _symbols(values: Iterable, what: str = "symbol") -> tuple[int, ...]:
+    """values as a tuple of int symbols: numpy integers and integral floats
+    such as 2.0 read as ints, and anything else (a bool, a str, 2.5) is a
+    TypeError that names it.  A word of plain ints needs no per-symbol pass."""
+    word = tuple(values)
+    if set(map(type, word)) <= {int}:
+        return word
+    for v in word:
+        if not (isinstance(v, float) and v.is_integer() or (
+                isinstance(v, numbers.Integral) and not isinstance(v, bool))):
+            raise TypeError(f"{what} {v!r} is not an integer")
+    return tuple(map(int, word))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite ordered symbol set.  Symbols are small ints."""
@@ -237,6 +254,7 @@ class Configuration:
             raise ValueError(
                 f"{len(self.values)} values for window of size {self.window.size}"
             )
+        object.__setattr__(self, "values", _symbols(self.values))
         for v in self.values:
             if v not in self.alphabet:
                 raise ValueError(f"symbol {v!r} not in alphabet {self.alphabet.symbols}")
@@ -321,25 +339,28 @@ def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int],
                    rescaled: bool = True):
     """num(hi) -> (numerator, den, e) of the cylinder word[:hi - lo + 1] on
     [lo, hi], which has probability numerator * 2^e / den, for hi that never
-    decrease.  The provider's step is folded along word once, since start
-    and step depend only on lo; each call checks its window, steps the new
-    sites (rescaling after each one if asked and the walker can) and closes
-    with the leaf and den of the window that ends at hi."""
-    state, done, e = None, None, 0  # done: the sites stepped so far, once started
+    decrease.  The provider's walker is fetched once, on the first call, and
+    its step folded along word once; each call checks its window against the
+    provider's support, steps the new sites (rescaling after each one if
+    asked and the walker can) and closes with the leaf and den of close(hi)."""
+    support = provider.support_window
+    state = step = rescale = close = done = None  # done: the sites stepped so far
+    e = 0
 
     def num(hi: int):
-        nonlocal state, done, e
-        window = Window(lo, hi)
-        provider.check_window(window)
-        start, step, leaf, den, rescale = provider._walker(window)
-        if done is None:
-            state, done = start, 0
+        nonlocal state, step, rescale, close, done, e
+        if support is not None and not support.lo <= lo <= hi <= support.hi:
+            provider.check_window(Window(lo, hi))  # raises, naming both windows
+        if done is None:  # only a window that passed its check fetches the walker
+            state, step, rescale, close = provider._walker(lo)
+            rescale, done = rescale if rescaled else None, 0
         while done <= hi - lo and state is not None:
             state = step(state, done, word[done])
             done += 1
-            if rescaled and rescale and state is not None:
+            if rescale and state is not None:
                 state, k = rescale(state)
                 e += k
+        leaf, den = close(hi)
         return (0 if state is None else leaf(state)), den, e
 
     return num
@@ -361,8 +382,8 @@ def _fold_quotient(joint: tuple, given: tuple = (1, 1, 0), label: str = "") -> P
     (j, den_j, e_j), (g, den_g, e_g) = joint, given
     if g == 0:
         raise ZeroProbabilityError(f"{label}: conditioning cylinder has probability zero")
-    if isinstance(den_j, int):
-        return Fraction(j * den_g, g * den_j)
+    if isinstance(den_j, int):  # equal dens cancel, to the same lowest terms
+        return Fraction(j, g) if den_j == den_g else Fraction(j * den_g, g * den_j)
     return math.ldexp(j / den_j / (g / den_g), e_j - e_g)
 
 
@@ -380,12 +401,13 @@ class MeasureProvider:
     stationary: bool = False
     support_window: Window | None = None
 
-    def _walker(self, window: Window) -> tuple:
-        """(start, step, leaf, den, rescale) for the words on the window.
+    def _walker(self, lo: int) -> tuple:
+        """(start, step, rescale, close) for the words on windows [lo, hi].
         step(state, i, s) is the state after symbol s at the window's i-th
-        site, or None once the prefix has no mass; leaf(state) is the word's
-        probability times den.  Exact providers step ints over an int den;
-        the others step floats over a float den.  rescale(state) is
+        site, or None once the prefix has no mass.  close(hi) is (leaf, den)
+        for the window [lo, hi]: leaf(state) is the probability of the word
+        whose state it is, times den.  Exact providers step ints over an int
+        den; the others step floats over a float den.  rescale(state) is
         (state / 2^e, e), exact in the normal range, so a fold that rescales
         each step keeps a long word's mass finite; it is None where a state
         cannot underflow (exact providers, float ones far above 2^-1022).
@@ -395,11 +417,10 @@ class MeasureProvider:
         `prefix_walk` steps one state for all the prefixes that reach an
         equal one (which is why the containers store -0.0 as 0.0).
 
-        start and step depend only on window.lo, never on window.hi: a
-        state folded along a word on [lo, hi] is the state of that word's
-        prefixes too, so one fold serves every window that starts at lo
-        (`regularity_probe` closes a growing window with each hi's leaf and
-        den)."""
+        Only close sees hi: a state folded along a word on [lo, hi] is the
+        state of that word's prefixes too, so one walker serves every window
+        that starts at lo (`regularity_probe` fetches it once per fold and
+        closes a growing window at each hi)."""
         raise NotImplementedError
 
     def prob(self, cfg: Configuration) -> Prob:
@@ -438,7 +459,8 @@ class MeasureProvider:
             raise EnumerationCapError(
                 f"{len(self.alphabet)}^{window.size} words exceeds the cap")
         self.check_window(window)
-        start, step, leaf, den, _ = self._walker(window)
+        start, step, _, close = self._walker(window.lo)
+        leaf, den = close(window.hi)
         nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
         if len(nums) < n_words:
             nums = {w: nums.get(w, 0) for w in self.words(window)}
@@ -469,13 +491,13 @@ class BernoulliMeasure(MeasureProvider):
         nums, self._den = integer_scaled(ws, self.exact)
         self._nums = dict(zip(alphabet.symbols, nums))
 
-    def _walker(self, window: Window) -> tuple:
+    def _walker(self, lo: int) -> tuple:
         """Products of integer_scaled weights over den^n, multiplied in site
         order; in float mode the weights themselves over 1.0.  A product of
         weights <= 1 cannot underflow before its final value does."""
-        nums = self._nums
-        return (self._den ** 0, lambda acc, i, s: acc * nums[s], lambda acc: acc,
-                self._den ** window.size, None if self.exact else _rescale)
+        nums, den = self._nums, self._den
+        return (den ** 0, lambda acc, i, s: acc * nums[s], None if self.exact else _rescale,
+                lambda hi: (lambda acc: acc, den ** (hi - lo + 1)))
 
     def log_prob(self, cfg: Configuration) -> float:
         self.check_config(cfg)
@@ -519,18 +541,22 @@ class TableMeasure(MeasureProvider):
         else:
             self._entries, self._den, self._zero = tuple(ws.items()), total, 0.0
 
-    def _walker(self, window: Window) -> tuple:
-        """A prefix's state is the prefix itself.  A word's numerator is its
-        weight in the table marginalised onto the window, from one pass over
-        the entries that adds each word's weights in table order."""
-        cut = slice(window.lo - self.support_window.lo,
-                    window.hi - self.support_window.lo + 1)
-        marginal: dict = {}
-        get, zero = marginal.get, self._zero
-        for w, x in self._entries:
-            key = w[cut]
-            marginal[key] = get(key, zero) + x
-        return (), lambda word, i, s: word + (s,), marginal.__getitem__, self._den, None
+    def _walker(self, lo: int) -> tuple:
+        """A prefix's state is the prefix itself.  close(hi) marginalises the
+        table onto [lo, hi], one pass over the entries that adds each word's
+        weights in table order, and a word's numerator is its entry there."""
+        first = lo - self.support_window.lo
+
+        def close(hi: int) -> tuple:
+            cut = slice(first, hi - self.support_window.lo + 1)
+            marginal: dict = {}
+            get, zero = marginal.get, self._zero
+            for w, x in self._entries:
+                key = w[cut]
+                marginal[key] = get(key, zero) + x
+            return marginal.__getitem__, self._den
+
+        return (), lambda word, i, s: word + (s,), None, close
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,
@@ -598,10 +624,11 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
             v = omega.value_at(i)  # KeyError past an unspecified tail, as restrict raises
             given.append(v)
             joint.append(v)
-        if target.alphabet != omega.alphabet:
-            raise ValueError("alphabet mismatch between glued pieces")
-        if omega.alphabet != provider.alphabet:
-            raise ValueError(f"{provider.label}: alphabet mismatch")
+        if not ns:  # the alphabets never change, so the first n checks them for all
+            if target.alphabet != omega.alphabet:
+                raise ValueError("alphabet mismatch between glued pieces")
+            if omega.alphabet != provider.alphabet:
+                raise ValueError(f"{provider.label}: alphabet mismatch")
         g = given_num(n)
         try:
             values.append(_fold_quotient(joint_num(n), g, provider.label))

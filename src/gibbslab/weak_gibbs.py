@@ -377,13 +377,13 @@ class FiniteVolumeMeasure(MeasureProvider):
             state = self._step(state, i, v)
         return self._close(state, lo + len(values))
 
-    def _walker(self, window: Window) -> tuple:
-        """_step one site per symbol from the window's prefix state, and
-        _close each word after the window.  No rescale: up to VOLUME_CAP no
-        word's mass is near underflow (at most m/2 + 1 factors in [1/e, e])."""
-        lo, step = window.lo, self._step
-        return (self._prefix[lo], lambda state, i, s: step(state, lo + i, s),
-                lambda state: self._close(state, window.hi + 1), self._total, None)
+    def _walker(self, lo: int) -> tuple:
+        """_step one site per symbol from the prefix state at lo, and _close
+        each word after site hi.  No rescale: up to VOLUME_CAP no word's mass
+        is near underflow (at most m/2 + 1 factors in [1/e, e])."""
+        step, close, total = self._step, self._close, self._total
+        return (self._prefix[lo], lambda state, i, s: step(state, lo + i, s), None,
+                lambda hi: (lambda state: close(state, hi + 1), total))
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)

@@ -324,6 +324,33 @@ def test_admissibility_witnesses_reconstruct_all_short_words(std_channel):
         assert all(std_channel.d <= v <= std_channel.k for v in res.x)
 
 
+def _brute_preimages(params, n):
+    """{word: (x, omega)} over every input word and jitter chain of length n,
+    keeping for each output word the chain least read from its last entry."""
+    best = {}
+    for omega in itertools.product(JITTER, repeat=n + 1):
+        for x in itertools.product(params.input_symbols, repeat=n):
+            y = apply_channel(x, omega)
+            if y not in best or omega[::-1] < best[y][1][::-1]:
+                best[y] = (x, omega)
+    return best
+
+
+@pytest.mark.parametrize("params", [BENCH_CHANNELS[0], BENCH_CHANNELS[2],
+                                    ChannelParams(2, 3, HALF, 0)],
+                         ids=["a", "b", "eps0"])
+def test_admissibility_is_the_brute_enumeration_of_every_chain(params):
+    # structural: every weight counts as positive, eps = 0 included
+    for n in range(1, 6):
+        best = _brute_preimages(params, n)
+        for word in itertools.product(params.output_symbols, repeat=n):
+            res = is_admissible(params, word)
+            if word in best:
+                assert (res.admissible, res.x, res.omega) == (True, *best[word])
+            else:
+                assert res == type(res)(False, None, None)
+
+
 # ------------------------------------------------------------ distributions
 
 def test_block_distribution_matches_cylinders_and_normalizes(std_channel):

@@ -101,6 +101,23 @@ def test_config_rejects_symbols_outside_alphabet():
         binary_config([2])
 
 
+def test_config_reads_symbols_by_the_channels_integer_rule():
+    # a bool is no symbol, even where it equals one; 2.0 is read as the int 2
+    nu = BitShiftMeasure(ChannelParams(2, 3, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4)))
+    with pytest.raises(TypeError, match="symbol True is not an integer"):
+        config(nu.alphabet, 0, (True, 3))
+    with pytest.raises(TypeError, match="symbol 2.5 is not an integer"):
+        config(nu.alphabet, 0, (2, 2.5))
+    as_float = config(nu.alphabet, 0, (2.0, 3))
+    assert as_float.values == (2, 3) and all(type(v) is int for v in as_float.values)
+    want = nu.prob(config(nu.alphabet, 0, (2, 3)))
+    assert nu.prob(as_float) == want and type(nu.prob(as_float)) is Fraction
+    assert nu.log_prob(as_float) == pytest.approx(math.log(want), rel=1e-12)
+    out = nu.alphabet
+    assert conditional_prob(nu, config(out, 0, (0.0,)), config(out, 1, (2.0,))) \
+        == conditional_prob(nu, config(out, 0, (0,)), config(out, 1, (2,)))
+
+
 def test_zero_fill_requires_zero_in_alphabet():
     with pytest.raises(ValueError):
         config(Alphabet((2, 3)), 0, [2, 3], tail=Tail.ZERO_FILL)

@@ -29,7 +29,7 @@ from gibbslab import (
     config,
     regularity_probe,
 )
-from gibbslab.core import TableMeasure
+from gibbslab.core import TableMeasure, scaled_quotient
 
 
 def literal_probe(provider, target, omega, n_range, tol=1e-6, stability_window=4):
@@ -176,6 +176,16 @@ def test_probe_on_a_volume_checks_the_support_of_both_cylinders(exact):
     assert assert_same(volume, shifted, omega, [1, 2]) is ValueError
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n_range", [[], [11, 12]])
+def test_probe_past_a_volumes_support_raises_what_the_loop_raises(exact, n_range):
+    # a walker is fetched only for a window inside the support, so a probe
+    # that starts past site m = 8 raises the support's ValueError, or nothing
+    res = assert_same(_volume(exact), config(BINARY, 10, (1,)), config(BINARY, 11, (0, 1)),
+                      n_range)
+    assert res is ValueError if n_range else res.ns == ()
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(family=st.sampled_from(sorted(PROVIDERS)), exact=st.booleans(), data=st.data())
 def test_probe_matches_the_literal_loop_on_random_inputs(family, exact, data):
@@ -201,3 +211,56 @@ def test_float_probe_survives_underflow():
     assert f"{got.values[0]:.3g}" == "6.05e-123"
     for g, w in zip(got.values, want.values, strict=True):
         assert type(g) is float and abs(Fraction(g) - w) <= Fraction(1, 10**12) * w
+
+
+@pytest.mark.parametrize("n_range", [[], [0, 1], [1, 3], [3]])
+def test_probe_checks_alphabets_where_the_literal_loop_does(n_range):
+    # no n, no check; an index before the window and an unspecified tail's
+    # end are raised before the mismatch, which the first n that passes them raises
+    ternary = Alphabet((0, 1, 2))
+    coin = _bernoulli(True)
+    for target in (config(BINARY, 0, (1,)), config(ternary, 0, (1,))):
+        res = assert_same(coin, target, config(ternary, 1, (2, 0)), n_range)
+        assert isinstance(res, ProbeResult) if not n_range else res in (ValueError, KeyError)
+
+
+# ------------------------------------------------- the walker contract
+
+def _counted(provider):
+    calls = []
+    walker = provider._walker
+    provider._walker = lambda lo: calls.append(lo) or walker(lo)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("family", ["bernoulli", "channel", "volume12"])
+def test_probe_fetches_each_walker_once_per_fold(family, exact):
+    if family == "volume12":
+        provider = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2) if exact else 0.5, 12),
+                                       "rational" if exact else "float")
+    else:
+        provider = PROVIDERS[family](exact)
+    pattern = (1, 0, 1) if provider.alphabet == BINARY else (2, 3, 3)
+    calls = _counted(provider)
+    res = regularity_probe(provider, config(provider.alphabet, 0, (0,)),
+                           config(provider.alphabet, 1, pattern * 4), range(1, 13))
+    assert res.ns == tuple(range(1, 13)) and sorted(calls) == [0, 1]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(PROVIDERS)), exact=st.booleans(), data=st.data())
+def test_every_close_of_one_walker_is_prob_on_its_window(family, exact, data):
+    provider = PROVIDERS[family](exact)
+    support = provider.support_window or Window(-3, 8)
+    lo = data.draw(st.integers(support.lo, support.hi))
+    word = data.draw(st.lists(st.sampled_from(provider.alphabet.symbols), min_size=1,
+                              max_size=support.hi - lo + 1))
+    state, step, _, close = provider._walker(lo)
+    for i, s in enumerate(word):
+        state = None if state is None else step(state, i, s)
+        leaf, den = close(lo + i)
+        got = scaled_quotient(0 if state is None else leaf(state), den)
+        want = provider.prob(config(provider.alphabet, lo, word[:i + 1]))
+        assert type(got) is type(want) is (Fraction if exact else float)
+        assert got == want if exact else got.hex() == want.hex()
