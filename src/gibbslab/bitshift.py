@@ -286,6 +286,7 @@ class BitShiftMeasure(MeasureProvider):
         self.params = params
         self.alphabet = Alphabet(params.output_symbols)
         self.stationary = True
+        self.rescale = None if params.exact else _rescale
         self.label = (f"bitshift(d={params.d},k={params.k},"
                       f"eps={format_prob(params.eps)})")
 
@@ -294,7 +295,21 @@ class BitShiftMeasure(MeasureProvider):
         return cylinder_log_prob(self.params, cfg.values)
 
     def _walker(self, lo: int) -> tuple:
-        return _walker(self.params, lo)
+        """(start, step, close) of the forward recursion over output words
+        on [lo, hi], on the numbers of cylinder_prob: a prefix's state is
+        its forward vector, dropped once it is zero, and close(hi) gives a
+        word's numerator as the vector's sum over den0 * den^(hi - lo + 1)."""
+        init, mats, den0, den = self.params._forward_model
+
+        def step(alpha, y):  # one step of _forward
+            m0, m1, m2, m3, m4, m5, m6, m7, m8 = mats[y]
+            a0, a1, a2 = alpha
+            nxt = (m0 * a0 + m1 * a1 + m2 * a2,
+                   m3 * a0 + m4 * a1 + m5 * a2,
+                   m6 * a0 + m7 * a1 + m8 * a2)
+            return nxt if nxt != (0, 0, 0) else None
+
+        return init, step, lambda hi: (sum, den0 * den ** (hi - lo + 1))
 
 
 @dataclass(frozen=True)
@@ -337,26 +352,6 @@ def _rescale(alpha: tuple) -> tuple[tuple, int]:
     return tuple(math.ldexp(a, -e) for a in alpha), e
 
 
-def _walker(params: ChannelParams, lo: int) -> tuple:
-    """(start, step, rescale, close) of the forward recursion over output
-    words on [lo, hi], on the numbers of cylinder_prob: a prefix's state is
-    its forward vector, dropped once it is zero, and close(hi) gives a
-    word's numerator as the vector's sum over den0 * den^(hi - lo + 1);
-    floats rescale with _rescale."""
-    init, mats, den0, den = params._forward_model
-
-    def step(alpha, i, y):  # one step of _forward
-        m0, m1, m2, m3, m4, m5, m6, m7, m8 = mats[y]
-        a0, a1, a2 = alpha
-        nxt = (m0 * a0 + m1 * a1 + m2 * a2,
-               m3 * a0 + m4 * a1 + m5 * a2,
-               m6 * a0 + m7 * a1 + m8 * a2)
-        return nxt if nxt != (0, 0, 0) else None
-
-    return (init, step, None if params.exact else _rescale,
-            lambda hi: (sum, den0 * den ** (hi - lo + 1)))
-
-
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
     """Exact distribution over admissible length-n output words, from one
     walk that steps each distinct forward vector once and prunes zero ones."""
@@ -364,7 +359,7 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
         raise ValueError("n must be >= 1")
     if n > BLOCK_WORD_CAP:
         raise EnumerationCapError(f"block distribution capped at n <= {BLOCK_WORD_CAP}")
-    start, step, _, close = _walker(params, 1)
+    start, step, close = BitShiftMeasure(params)._walker(1)
     leaf, den = close(n)
     return scaled_quotients(prefix_walk(params.output_symbols, n, start, step, leaf), den)
 

@@ -116,7 +116,8 @@ SCHEMAS: dict[tuple[str, str | None], dict] = {
     ("wg-converge", "probe"): _schema({
         "rho": _NUM, "m": {"type": "integer"}, "omega": _BITS,
         "n_range": _ILIST, "target": {"enum": [0, 1]},
-        "tol": {"type": "number"}, "stability_window": {"type": "integer"}},
+        "tol": {"type": "number", "minimum": 0},
+        "stability_window": {"type": "integer", "minimum": 1}},
         ["rho", "m", "omega", "n_range"], "probe"),
     ("wg-converge", "glued"): _schema({
         "rho": _NUM, "m": {"type": "integer"}, "omega": _BITS, "eta": _BITS,
@@ -262,6 +263,26 @@ def _violation(schema: dict, v, root: dict, path: str = "$"):
             if found := _violation(s, x, root, at):
                 return found
     return None
+
+
+def _integers(schema: dict, v, root: dict):
+    """v with every value schema types as an integer made an int (1.0 is an
+    integer to _violation, and 1 to the runners).  v must satisfy schema, so
+    a oneOf follows its one matching form; the keywords that nest a value
+    in SCHEMAS are $ref, oneOf, items and properties."""
+    if "$ref" in schema:
+        schema = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    if "oneOf" in schema:
+        form = next(s for s in schema["oneOf"] if _violation(s, v, root) is None)
+        return _integers(form, v, root)
+    if schema.get("type") == "integer":
+        return int(v)
+    if isinstance(v, list) and "items" in schema:
+        return [_integers(schema["items"], x, root) for x in v]
+    if isinstance(v, dict) and "properties" in schema:
+        props = schema["properties"]
+        return {k: _integers(props[k], x, root) if k in props else x for k, x in v.items()}
+    return v
 
 
 # ---------------------------------------------------------------- plumbing
@@ -436,7 +457,7 @@ def _run_bs_cylinder(cfg, mode, seed):
     nu = bs.BitShiftMeasure(params)
     results = []
     for query in cfg["queries"]:
-        y = tuple(map(int, query["y"]))  # the schema took 2.0 as an integer
+        y = tuple(query["y"])
         entry: dict = {"y": list(y)}
         adm = bs.is_admissible(params, y)
         entry["admissible"] = adm.admissible
@@ -444,7 +465,7 @@ def _run_bs_cylinder(cfg, mode, seed):
             entry["witness_x"] = list(adm.x)
             entry["witness_jitter"] = list(adm.omega)
         if "given" in query:
-            given = tuple(map(int, query["given"]))
+            given = tuple(query["given"])
             entry["given"] = list(given)
             entry["prob_given"] = bs.cylinder_prob(params, given)
             entry["prob_joint"] = bs.cylinder_prob(params, y + given)
@@ -590,7 +611,9 @@ def _experiments_of(subcommand: str) -> list[str | None]:
     return [exp for (sub, exp) in SCHEMAS if sub == subcommand]
 
 
-def _validate(subcommand: str, cfg) -> str | None:
+def _validate(subcommand: str, cfg) -> tuple[str | None, dict]:
+    """(experiment, cfg as the runners read it, with _integers' ints), or
+    UsageError naming the first violation of the subcommand's schema."""
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
     experiments = _experiments_of(subcommand)
@@ -606,7 +629,7 @@ def _validate(subcommand: str, cfg) -> str | None:
     found = _violation(schema, cfg, schema)
     if found:
         raise UsageError("config rejected at {}: {}".format(*found))
-    return exp
+    return exp, _integers(schema, cfg, schema)
 
 
 def main(argv=None) -> int:
@@ -633,7 +656,7 @@ def main(argv=None) -> int:
             raise UsageError(f"cannot read config: {e}") from e
         except json.JSONDecodeError as e:
             raise UsageError(f"config is not valid JSON: {e}") from e
-        experiment = _validate(args.subcommand, cfg)
+        experiment, run_cfg = _validate(args.subcommand, cfg)
         meta = {
             "gibbslab": __version__,
             "subcommand": args.subcommand,
@@ -643,7 +666,7 @@ def main(argv=None) -> int:
             "config_hash": _config_hash(args.subcommand, experiment, args.mode,
                                         args.seed, args.precision, cfg),
         }
-        out = RUNNERS[args.subcommand](cfg, args.mode, args.seed)
+        out = RUNNERS[args.subcommand](run_cfg, args.mode, args.seed)
         if out[0] == "csv":
             _, comments, columns, rows = out
             text = _write_csv(meta, comments, columns, rows, args.precision)

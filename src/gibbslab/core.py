@@ -6,12 +6,16 @@ common denominator inside, see `integer_scaled`), so marginalization
 identities hold exactly and tests can compare with `==`.  Float mode uses
 IEEE doubles.  Mode is carried by the values themselves (Fraction vs float),
 not by a global switch.  Each measure is one walker per first site lo
-(`MeasureProvider._walker(lo)`): a step function over the sites from lo
-and a close that gives each window [lo, hi] its leaf and denominator.
-`prob` folds the step along one word and closes once, a whole-window
-distribution walks it one site at a time, stepping each distinct state
-once (`prefix_walk`), and `regularity_probe` fetches one walker per fold,
-folds it once along a growing word and closes it at every n.
+(`MeasureProvider._walker(lo)`): a start state, a step(state, symbol)
+that takes a prefix to its one-symbol extension, and a close that gives
+each window [lo, hi] its leaf and denominator.  The step is told nothing
+of where it is: a provider whose step depends on the site keeps the site
+in its state.  `prob` folds the step along one word and closes once, a
+whole-window distribution walks it one site at a time, stepping each
+distinct state once (`prefix_walk`), and `regularity_probe` fetches one
+walker per fold, folds it once along a growing word and closes it at
+every n.  A float provider whose states can underflow also names a
+`rescale`, which the conditional folds apply after every step.
 """
 from __future__ import annotations
 
@@ -121,9 +125,9 @@ def scaled_quotients(nums: Mapping, den: int | float) -> dict:
 
 def prefix_walk(symbols: Sequence[int], n: int, start, step, leaf) -> dict:
     """{word: leaf(state)} for the words of length n over symbols, in
-    lexicographic order, where a word's state is step(...step(start, 0,
-    w[0])..., n - 1, w[n - 1]).  A step that returns None drops that prefix
-    and all its extensions.
+    lexicographic order, where a word's state is step(...step(start,
+    w[0])..., w[n - 1]).  A step that returns None drops that prefix and
+    all its extensions.
 
     The walk goes one site at a time and numbers the distinct states at each
     site: step runs once per distinct state and symbol, each prefix carries
@@ -135,11 +139,11 @@ def prefix_walk(symbols: Sequence[int], n: int, start, step, leaf) -> dict:
     # suffix (s,).  level holds the (prefix, state number) pairs one site
     # behind moves, so the last site's words go straight into the result.
     states, level, moves = [start], [((), 0)], [[((), 0)]]
-    for i in range(n):
+    for _ in range(n):
         level = [(word + s, k) for word, j in level for s, k in moves[j]]
         ids: dict = {}
         moves = [[((s,), ids.setdefault(nxt, len(ids))) for s in symbols
-                  if (nxt := step(state, i, s)) is not None]
+                  if (nxt := step(state, s)) is not None]
                  for state in states]
         states = list(ids)
     leaves = [leaf(state) for state in states]
@@ -341,21 +345,23 @@ def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int],
     [lo, hi], which has probability numerator * 2^e / den, for hi that never
     decrease.  The provider's walker is fetched once, on the first call, and
     its step folded along word once; each call checks its window against the
-    provider's support, steps the new sites (rescaling after each one if
-    asked and the walker can) and closes with the leaf and den of close(hi)."""
+    provider's support, steps the new sites (rescaling after each one with
+    the provider's rescale, if asked and it has one) and closes with the
+    leaf and den of close(hi)."""
     support = provider.support_window
-    state = step = rescale = close = done = None  # done: the sites stepped so far
+    rescale = provider.rescale if rescaled else None
+    state = step = close = done = None  # done: the sites stepped so far
     e = 0
 
     def num(hi: int):
-        nonlocal state, step, rescale, close, done, e
+        nonlocal state, step, close, done, e
         if support is not None and not support.lo <= lo <= hi <= support.hi:
             provider.check_window(Window(lo, hi))  # raises, naming both windows
         if done is None:  # only a window that passed its check fetches the walker
-            state, step, rescale, close = provider._walker(lo)
-            rescale, done = rescale if rescaled else None, 0
+            state, step, close = provider._walker(lo)
+            done = 0
         while done <= hi - lo and state is not None:
-            state = step(state, done, word[done])
+            state = step(state, word[done])
             done += 1
             if rescale and state is not None:
                 state, k = rescale(state)
@@ -390,27 +396,32 @@ def _fold_quotient(joint: tuple, given: tuple = (1, 1, 0), label: str = "") -> P
 class MeasureProvider:
     """Exact cylinder-probability source.
 
-    Subclasses give one step function per window, `_walker`, in the
-    arithmetic their parameters were given in; `prob` and `distribution`
-    both walk it.  `stationary` providers accept cylinders at any location;
-    others expose `support_window`.
+    Subclasses give one walker per first site, `_walker(lo) -> (start,
+    step, close)`, in the arithmetic their parameters were given in;
+    `prob`, `distribution` and `regularity_probe` all walk it.  How a
+    provider rescales a state depends on its arithmetic, not on where a
+    walk starts, so it is the attribute `rescale`, not part of a walker.
+    `stationary` providers accept cylinders at any location; others expose
+    `support_window`.
     """
 
     alphabet: Alphabet
     label: str
     stationary: bool = False
     support_window: Window | None = None
+    # rescale(state) is (state / 2^e, e), exact in the normal range, so a
+    # fold that rescales each step keeps a long word's mass finite; None for
+    # exact providers and float ones whose states stay far above 2^-1022
+    rescale = None
 
     def _walker(self, lo: int) -> tuple:
-        """(start, step, rescale, close) for the words on windows [lo, hi].
-        step(state, i, s) is the state after symbol s at the window's i-th
-        site, or None once the prefix has no mass.  close(hi) is (leaf, den)
-        for the window [lo, hi]: leaf(state) is the probability of the word
-        whose state it is, times den.  Exact providers step ints over an int
-        den; the others step floats over a float den.  rescale(state) is
-        (state / 2^e, e), exact in the normal range, so a fold that rescales
-        each step keeps a long word's mass finite; it is None where a state
-        cannot underflow (exact providers, float ones far above 2^-1022).
+        """(start, step, close) for the words on windows [lo, hi].
+        step(state, s) is the state after symbol s is appended to the prefix
+        whose state is state, or None once the prefix has no mass; a step
+        that depends on the site reads it from the state.  close(hi) is
+        (leaf, den) for the window [lo, hi]: leaf(state) is the probability
+        of the word whose state it is, times den.  Exact providers step ints
+        over an int den; the others step floats over a float den.
 
         States are hashable, and states that compare equal can be swapped
         for each other: same type and bits, so the same steps and leaf.
@@ -459,7 +470,7 @@ class MeasureProvider:
             raise EnumerationCapError(
                 f"{len(self.alphabet)}^{window.size} words exceeds the cap")
         self.check_window(window)
-        start, step, _, close = self._walker(window.lo)
+        start, step, close = self._walker(window.lo)
         leaf, den = close(window.hi)
         nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
         if len(nums) < n_words:
@@ -486,6 +497,7 @@ class BernoulliMeasure(MeasureProvider):
         self.alphabet = alphabet
         self.weights = {s: w for s, w in zip(alphabet.symbols, ws)}
         self.exact = all(is_exact(w) for w in ws)
+        self.rescale = None if self.exact else _rescale
         self.stationary = True
         self.label = label or f"bernoulli{tuple(format_prob(w) for w in ws)}"
         nums, self._den = integer_scaled(ws, self.exact)
@@ -496,7 +508,7 @@ class BernoulliMeasure(MeasureProvider):
         order; in float mode the weights themselves over 1.0.  A product of
         weights <= 1 cannot underflow before its final value does."""
         nums, den = self._nums, self._den
-        return (den ** 0, lambda acc, i, s: acc * nums[s], None if self.exact else _rescale,
+        return (den ** 0, lambda acc, s: acc * nums[s],
                 lambda hi: (lambda acc: acc, den ** (hi - lo + 1)))
 
     def log_prob(self, cfg: Configuration) -> float:
@@ -556,7 +568,7 @@ class TableMeasure(MeasureProvider):
                 marginal[key] = get(key, zero) + x
             return marginal.__getitem__, self._den
 
-        return (), lambda word, i, s: word + (s,), None, close
+        return (), lambda word, s: word + (s,), close
 
 
 def conditional_prob(provider: MeasureProvider, target: Configuration,
@@ -601,7 +613,9 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
     """Track P(target | omega on (target, n]) as the conditioning window grows.
 
     Verdict is a Cauchy check: converged iff every consecutive gap among the
-    last `stability_window + 1` values is within `tol`.  A zero-probability
+    last `stability_window + 1` values is within `tol`; a stability_window
+    below 1 or a tol that is not finite and >= 0 decides nothing and is a
+    ValueError.  A zero-probability
     conditioning cylinder truncates the sequence and is reported via failed_at.
 
     Each value is conditional_prob(provider, target, omega on [lo, n]), from
@@ -609,6 +623,10 @@ def regularity_probe(provider: MeasureProvider, target: Configuration,
     along omega: the conditioning words are nested prefixes of one omega, so
     each n only steps its new sites and closes both cylinders.
     """
+    if stability_window < 1:
+        raise ValueError(f"stability_window must be >= 1, got {stability_window}")
+    if not 0 <= tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     lo = target.window.hi + 1
     given: list[int] = []
     joint = list(target.values)

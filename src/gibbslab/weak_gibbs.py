@@ -282,10 +282,11 @@ class FiniteVolumeMeasure(MeasureProvider):
     on their integer numerators over a common power-of-two denominator.
 
     Two read-only tables, built once here, shorten every sum to the sites it
-    fixes: `_prefix[lo]`, the state after the free sites 0..lo-1, and
-    `_suffix[i]`, the scaled weight that the free sites i..m add to each
-    branch entering site i.  A sum steps its fixed sites from the prefix
-    state and closes with one dot product against the suffix row (`_close`).
+    fixes: `_prefix[lo]`, the state at site lo after the free sites
+    0..lo-1, and `_suffix[i]`, the scaled weight that the free sites i..m
+    add to each branch entering site i.  A sum steps its fixed sites from
+    the prefix state and closes with one dot product against the suffix row
+    of the site its state has reached (`_close`).
     """
 
     def __init__(self, params: InteractionParams, mode: str = "float",
@@ -305,42 +306,43 @@ class FiniteVolumeMeasure(MeasureProvider):
         self._weight, self._den = integer_scaled(
             [math.exp(-float(_rho_pow(params.rho, e))) for e in range(params.m // 2 + 1)],
             mode == "rational")
-        prefix = [(0, ())]
-        for i in range(params.m + 1):
-            prefix.append(self._step(prefix[-1], i, None))
+        prefix = [(0, 0, ())]
+        for _ in range(params.m + 1):
+            prefix.append(self._step(prefix[-1], None))
         self._prefix = tuple(prefix)
         self._suffix = self._suffix_table()
-        self._total = self._close(prefix[1], 1)
+        self._total = self._close(prefix[1])
 
-    def _step(self, state: tuple, i: int, v: int | None) -> tuple:
-        """The state (zero, runs) after site i holds v, or either symbol if v
-        is None.  zero is the scaled weight of the sigma_0 = 0 branch, where
-        every term vanishes; runs[r] is that of the sigma_0 = 1 paths whose
-        trailing 1-run is r long.  Before site 0 the state is (0, ()), no
-        mass yet; site 0 starts both branches.
+    def _step(self, state: tuple, v: int | None) -> tuple:
+        """The state (i + 1, zero, runs) after the site i of state (i, zero,
+        runs) holds v, or either symbol if v is None.  zero is the scaled
+        weight of the sigma_0 = 0 branch, where every term vanishes; runs[r]
+        is that of the sigma_0 = 1 paths whose trailing 1-run is r long.
+        Before site 0 the state is (0, 0, ()), no mass yet; site 0 starts
+        both branches.
 
         Every even site past 0 multiplies each path by den: by a weight
         numerator where an interaction term fires, by den itself where none
         does.  So the pass steps ints in rational mode (den is 1.0 in float
         mode), and the scale cancels in the quotient of two sums.
         """
+        i, zero, runs = state
         den = self._den
         if i == 0:  # den ** 0 keeps float mode's weights floats
-            return (den ** 0 if v != 1 else 0), ((0, den ** 0) if v != 0 else ())
-        zero, runs = state
+            return 1, (den ** 0 if v != 1 else 0), ((0, den ** 0) if v != 0 else ())
         n, odd = divmod(i, 2)
         scale = 1 if odd else den
         zero *= scale if v is not None else 2 * scale
         if not runs:  # only the sigma_0 = 0 branch carries mass
-            return zero, runs
+            return i + 1, zero, runs
         ended = sum(runs) * scale if v != 1 else 0  # a 0 ends every run
         if v == 0:
-            return zero, (ended,)
+            return i + 1, zero, (ended,)
         if not odd:  # a 1 extends every run; U(i) fires if it stays <= n
             weight = self._weight
             runs = tuple(acc * (weight[n - r - 1] if r < n else den)
                          for r, acc in enumerate(runs))
-        return zero, (ended,) + runs
+        return i + 1, zero, (ended,) + runs
 
     def _suffix_table(self) -> tuple:
         """_suffix[i] = (Z, R) for i = 1..m+1: Z is the scaled weight the free
@@ -362,28 +364,29 @@ class FiniteVolumeMeasure(MeasureProvider):
         rows.append(None)  # no sum closes before site 1
         return tuple(reversed(rows))
 
-    def _close(self, state: tuple, i: int) -> int | float:
+    def _close(self, state: tuple) -> int | float:
         """Scaled weight of every word on [0, m] that extends state, the
-        state after sites 0..i-1: one dot product with _suffix[i]."""
-        zero, runs = state
+        state (i, zero, runs) after sites 0..i-1: one dot product with
+        _suffix[i]."""
+        i, zero, runs = state
         z, r = self._suffix[i]
         return zero * z + sum(map(operator.mul, runs, r))
 
     def _sum(self, lo: int, values) -> int | float:
         """Scaled weight of the words whose sites lo, lo + 1, ... hold values
         (None: either symbol): the fixed sites stepped from _prefix[lo]."""
-        state = self._prefix[lo]
-        for i, v in enumerate(values, lo):
-            state = self._step(state, i, v)
-        return self._close(state, lo + len(values))
+        state, step = self._prefix[lo], self._step
+        for v in values:
+            state = step(state, v)
+        return self._close(state)
 
     def _walker(self, lo: int) -> tuple:
-        """_step one site per symbol from the prefix state at lo, and _close
-        each word after site hi.  No rescale: up to VOLUME_CAP no word's mass
-        is near underflow (at most m/2 + 1 factors in [1/e, e])."""
-        step, close, total = self._step, self._close, self._total
-        return (self._prefix[lo], lambda state, i, s: step(state, lo + i, s), None,
-                lambda hi: (lambda state: close(state, hi + 1), total))
+        """_step itself from the prefix state at lo, and _close itself for
+        every window: a state carries its site, so neither needs lo or hi.
+        No rescale: up to VOLUME_CAP no word's mass is near underflow (at
+        most m/2 + 1 factors in [1/e, e])."""
+        closed = self._close, self._total
+        return self._prefix[lo], self._step, lambda hi: closed
 
     def prob(self, cfg: Configuration) -> Prob:
         self.check_config(cfg)
@@ -483,6 +486,8 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
     _check_tail(omega, "omega")
     if tail_depth < 1:
         raise ValueError("tail_depth must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     head = (1,) + omega.restrict(1, n).values
     ref1, _ = _kernel(params, (1,) + omega.values, omega.tail is Tail.ZERO_FILL)
     bits = rng.generator().integers(0, 2, size=(samples, tail_depth))
@@ -496,6 +501,8 @@ def bad_set_frequency(k: int, samples: int, rng: Rng) -> FractionEstimate:
     """Fair-coin frequency of the bad set B_k (all 1s on floor(3k/2) .. 2k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     width = 2 * k - 3 * k // 2 + 1
     gen = rng.generator()
     bits = gen.integers(0, 2, size=(samples, width))

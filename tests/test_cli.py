@@ -253,6 +253,16 @@ def test_schema_rejections(tmp_path, capsys):
                  "invalid-config")
 
 
+@pytest.mark.parametrize("setting", [
+    {"stability_window": 0}, {"tol": -0.001}, {"tol": float("nan")}, {"tol": float("inf")}])
+def test_probe_settings_that_decide_nothing_exit_one(tmp_path, capsys, setting):
+    # the schema rejects the first two; JSON's NaN and Infinity pass
+    # "minimum": 0, and the probe rejects them
+    cfg = write_cfg(tmp_path, "c.json", {**VALID["wg-converge", "probe"], **setting})
+    rec = expect_error(capsys, ["wg-converge", "--config", cfg], 1, "invalid-config")
+    assert next(iter(setting)) in rec["message"]
+
+
 def test_rational_mode_rejects_bare_floats(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {"d": 2, "k": 3, "p": [0.5, 0.5], "eps": 0.25, "n_max": 3})
@@ -329,18 +339,39 @@ def test_float_conditional_is_the_rounded_quotient(tmp_path, capsys):
                  "numeric-failure")
 
 
+def _floats(v):
+    """v with every int made a float (2 -> 2.0), bools and strings kept."""
+    if isinstance(v, dict):
+        return {k: _floats(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_floats(x) for x in v]
+    return float(v) if type(v) is int else v
+
+
+def _unhashed(out):
+    """A run's output without its config hash, which hashes the config as
+    written (so 2.0 and 2 hash apart)."""
+    return [line for line in out.splitlines() if "config_hash" not in line]
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_bs_cylinder_reads_integral_floats_as_ints(tmp_path, capsys, mode):
-    # the schema calls 2.0 an integer; a float given used to exit 1 with a TypeError
-    results = []
-    for name, query in (("f.json", {"y": [0.0], "given": [2.0]}),
-                        ("i.json", {"y": [0], "given": [2]})):
-        cfg = write_cfg(tmp_path, name, {**STD_CHANNEL, "queries": [query]})
-        code, out, err = invoke(capsys, ["bs-cylinder", "--config", cfg, "--mode", mode])
-        assert code == 0 and err == ""
-        results.append(json.loads(out)["results"])
-    assert results[0] == results[1]
-    assert all(type(v) is int for v in results[0][0]["y"] + results[0][0]["given"])
+    # the schema calls 2.0 an integer; a float used to exit 1 with a TypeError
+    # in bs-cylinder, bs-badconfig (n_max), wg-converge (m) and others
+    runs = {}
+    for (sub, exp), cfg in VALID.items():
+        got = [invoke(capsys, [sub, "--config", write_cfg(tmp_path, name, c), "--mode", mode])
+               for name, c in (("f.json", _floats(cfg)), ("i.json", cfg))]
+        assert got[0][0] == got[1][0] and got[0][2] == got[1][2], (sub, exp)
+        assert _unhashed(got[0][1]) == _unhashed(got[1][1]), (sub, exp)
+        assert got[0][1] != got[1][1] or got[0][0] != 0  # hashed as written
+        runs[sub, exp] = got[0]
+    # n_max, m and a provider's d and k (behind a $ref) each used to fail
+    assert runs["bs-badconfig", None][0] == runs["wg-converge", "probe"][0] == 0
+    assert runs["relent", "window"][0] == 0
+    code, out, err = runs["bs-cylinder", None]
+    entry = json.loads(out)["results"][0]
+    assert code == 0 and err == "" and all(type(v) is int for v in entry["y"] + entry["given"])
 
 
 def test_failures_write_no_output_file(tmp_path, capsys):

@@ -420,13 +420,15 @@ def test_prefix_walk_steps_each_distinct_state_once_per_symbol():
         nxt = (2 * state + s + i) % 5
         return None if nxt == 4 else nxt
 
-    def step(state, i, s):
-        steps[i, state, s] += 1
-        return fold(i, state, s)
+    def step(state, s):  # the state carries its site, as step is not told it
+        i, x = state
+        steps[i, x, s] += 1
+        nxt = fold(i, x, s)
+        return None if nxt is None else (i + 1, nxt)
 
     def leaf(state):
-        leaves[state] += 1
-        return 10 * state
+        leaves[state[1]] += 1
+        return 10 * state[1]
 
     # the literal fold of every word, keeping the live states at each site
     live, reached = {}, [set() for _ in range(n + 1)]
@@ -440,7 +442,7 @@ def test_prefix_walk_steps_each_distinct_state_once_per_symbol():
             reached[n].add(state)
             live[word] = 10 * state
 
-    got = prefix_walk(symbols, n, 0, step, leaf)
+    got = prefix_walk(symbols, n, (0, 0), step, leaf)
     assert list(got.items()) == list(live.items())  # lexicographic, dead words absent
     assert len(reached[n]) < len(got) < len(symbols) ** n  # states merge, words drop
     assert set(steps.values()) == {1}

@@ -224,6 +224,19 @@ def test_probe_checks_alphabets_where_the_literal_loop_does(n_range):
         assert isinstance(res, ProbeResult) if not n_range else res in (ValueError, KeyError)
 
 
+@pytest.mark.parametrize("setting", [
+    {"stability_window": 0}, {"stability_window": -1}, {"stability_window": -3},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-9}])
+def test_probe_rejects_settings_that_decide_nothing(setting):
+    # a window below 1 checked every gap or sliced from the front, a NaN tol
+    # never converged and an infinite one always did, all silently
+    coin = _bernoulli(True)
+    args = (coin, config(BINARY, 0, (1,)), config(BINARY, 1, (0, 1, 0)), [1, 2, 3])
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        regularity_probe(*args, **setting)
+    assert regularity_probe(*args, tol=0.0, stability_window=1).converged
+
+
 # ------------------------------------------------- the walker contract
 
 def _counted(provider):
@@ -256,11 +269,23 @@ def test_every_close_of_one_walker_is_prob_on_its_window(family, exact, data):
     lo = data.draw(st.integers(support.lo, support.hi))
     word = data.draw(st.lists(st.sampled_from(provider.alphabet.symbols), min_size=1,
                               max_size=support.hi - lo + 1))
-    state, step, _, close = provider._walker(lo)
+    state, step, close = provider._walker(lo)
     for i, s in enumerate(word):
-        state = None if state is None else step(state, i, s)
+        state = None if state is None else step(state, s)
         leaf, den = close(lo + i)
         got = scaled_quotient(0 if state is None else leaf(state), den)
         want = provider.prob(config(provider.alphabet, lo, word[:i + 1]))
         assert type(got) is type(want) is (Fraction if exact else float)
         assert got == want if exact else got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_volume_walker_hands_out_its_step_and_close_themselves(exact):
+    # the state carries its site, so no walker wraps _step or _close
+    provider = _volume(exact)
+    for lo in provider.support_window.indices():
+        start, step, close = provider._walker(lo)
+        assert start is provider._prefix[lo] and step == provider._step
+        for hi in range(lo, provider.support_window.hi + 1):
+            leaf, den = close(hi)
+            assert leaf == provider._close and den is provider._total

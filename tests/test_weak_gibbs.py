@@ -403,6 +403,15 @@ def test_bad_tail_fraction_monotone_in_threshold():
         bad_tail_fraction(HALF, om, -0.1, 2, 10, Rng(9))
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_fractions_need_a_sample(samples):
+    # no sample used to divide by zero
+    with pytest.raises(ValueError, match="samples"):
+        bad_set_frequency(4, samples, Rng(3))
+    with pytest.raises(ValueError, match="samples"):
+        bad_tail_fraction(HALF, binary_config("10", lo=1), 0.1, 2, samples, Rng(9))
+
+
 # ------------------------------------------------------- enumerated radius
 
 def test_enumerated_radius_trivial_when_volume_equals_prefix():
