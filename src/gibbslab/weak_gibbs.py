@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .core import (
     BINARY,
@@ -39,6 +39,7 @@ from .core import (
     integer_scaled,
     is_exact,
     scaled_quotient,
+    _symbols,
 )
 
 VOLUME_CAP = 20  # largest finite volume [0, m] a provider will take by default
@@ -111,25 +112,39 @@ def interaction_term(params: InteractionParams, omega: Configuration, n: int) ->
 
 
 def _scan(values: tuple[int, ...], params: InteractionParams | None = None,
-          depth: int = 0) -> tuple[int | float, Prob | int, int]:
-    """One pass over the site values 0..hi of a configuration.
+          depth: int = 0, state: tuple | None = None, hi: int | None = None) -> tuple:
+    """One pass over site values of a configuration, values[i] at site i.
 
-    Returns (energy, past, worst).  energy is H_{<=depth} as a numerator over
-    the params' weight table (den in float mode is 1.0, so the same doubles
-    are added in the same site order); past is the exact sum, in rho's type,
-    of the terms with depth < 2n <= hi; worst is the largest k whose bad set
-    B_k is hit, 0 if none.  B_k (all 1s on floor(3k/2) .. 2k) is hit iff the
-    run of 1s ending at site 2k is at least 2k - floor(3k/2) + 1 long.
-    Without params, or without a 1 at site 0, every energy term vanishes;
-    depth must not pass params.m, the reach of the table.
+    Returns the scan state after site hi (by default the last site), the
+    tuple (hi, run, energy, past, worst).  run is the length of the 1-run
+    ending at hi; energy is H_{<=depth} as a numerator over the params'
+    weight table (den in float mode is 1.0, so the same doubles are added in
+    the same site order); past is the exact sum, in rho's type, of the terms
+    with depth < 2n <= hi; worst is the largest k whose bad set B_k is hit,
+    0 if none.  B_k (all 1s on floor(3k/2) .. 2k) is hit iff the run of 1s
+    ending at site 2k is at least 2k - floor(3k/2) + 1 long.  Without
+    params, or without a 1 at site 0, every energy term vanishes; depth must
+    not pass params.m, the reach of the table.
+
+    Without a state the scan starts at site 0.  With one it resumes at the
+    site after the state's, adding on to the state's sums, and every term
+    counts (params given): only the state of a scan whose site 0 held a 1 is
+    resumed.  energy and past grow by +=, so a state holding _Terms in their
+    place collects the terms it would add, in site order.
     """
-    energy, past, worst = 0, 0, 0
-    live = params is not None and values[0] == 1
-    if params is not None:
-        weight, _, past = params._weights
+    if hi is None:
+        hi = len(values) - 1
+    if state is None:
+        live = params is not None and values[0] == 1
+        zero = params._weights[2] if params is not None else 0
+        state = (0, 1 if values and values[0] == 1 else 0, 0, zero, 0)
+    else:
+        live = params is not None
+    site, run, energy, past, worst = state
+    if live:
+        weight, _, _ = params._weights
         rho = params.rho
-    run = 1 if values and values[0] == 1 else 0
-    for i in range(1, len(values)):
+    for i in range(site + 1, hi + 1):
         if values[i] != 1:
             run = 0
             continue
@@ -144,7 +159,15 @@ def _scan(values: tuple[int, ...], params: InteractionParams | None = None,
                 energy += weight[n - run]
             else:
                 past += _rho_pow(rho, n - run)
-    return energy, past, worst
+    return hi, run, energy, past, worst
+
+
+class _Terms(list):
+    """Stands in for a sum in a scan state: += appends the term."""
+
+    def __iadd__(self, term):
+        self.append(term)
+        return self
 
 
 def hamiltonian(params: InteractionParams, omega: Configuration) -> Prob:
@@ -158,7 +181,7 @@ def hamiltonian(params: InteractionParams, omega: Configuration) -> Prob:
     if omega.tail is not Tail.ZERO_FILL and omega.window.hi < params.m:
         raise ValueError(
             f"omega must be defined through site {params.m} (or carry a zero-fill tail)")
-    energy, _, _ = _scan(omega.values[:params.m + 1], params, params.m)
+    _, _, energy, _, _ = _scan(omega.values[:params.m + 1], params, params.m)
     return scaled_quotient(energy, params._weights[1])
 
 
@@ -198,7 +221,7 @@ def hamiltonian_tail_bound(params: InteractionParams, omega: Configuration,
         raise ValueError("tail bound needs a configuration starting at site 0")
     if n_prime < 1:
         raise ValueError("n_prime must be >= 1")
-    _, past, worst = _scan(omega.values, params, params.m)
+    _, _, _, past, worst = _scan(omega.values, params, params.m)
     if worst >= n_prime:
         raise ValueError(f"run constraint violated inside the window for some k >= {n_prime}")
     if omega.values[0] != 1 or omega.tail is Tail.ZERO_FILL:
@@ -250,7 +273,7 @@ def _kernel(params: InteractionParams, values: tuple[int, ...],
     """
     hi = len(values) - 1
     depth = params.m if zero_fill or hi >= params.m else hi // 2 * 2
-    energy, past, worst = _scan(values, params, depth)
+    _, _, energy, past, worst = _scan(values, params, depth)
     tb = past if zero_fill else _past_window(params, past, hi, depth, worst + 1)
     return _bracket(params, energy, tb)
 
@@ -263,8 +286,9 @@ def single_site_kernel(params: InteractionParams, symbol: int,
     that is unspecified past its window is certified through the run
     constraint observed inside it (see _kernel).
     """
+    symbol, = _symbols((symbol,))
     if symbol not in (0, 1):
-        raise ValueError("symbol must be 0 or 1")
+        raise ValueError(f"symbol must be 0 or 1, got {symbol}")
     _check_tail(tail, "tail")
     value1, radius = _kernel(params, (1,) + tail.values, tail.tail is Tail.ZERO_FILL)
     return KernelValue(value1 if symbol == 1 else 1.0 - value1, radius)
@@ -427,7 +451,7 @@ def correlation_length(omega: Configuration) -> int:
         raise ValueError("correlation length needs a zero-fill tail")
     lo = omega.window.lo  # sites 0..hi; those below the window hold 0
     values = (0,) * lo + omega.values if lo >= 0 else omega.values[-lo:]
-    return _scan(values)[2] + 1
+    return _scan(values)[4] + 1
 
 
 @dataclass(frozen=True)
@@ -439,29 +463,67 @@ class GluedRow:
 
 def glued_convergence_table(params: InteractionParams, omega: Configuration,
                             eta: Configuration, n_list: list[int]) -> tuple[GluedRow, ...]:
-    """sup over symbols of |gamma(. | omega[1..n] eta[n+1..)) - gamma(. | omega)|.
+    """sup over symbols of |gamma(. | omega[1..n] eta[n+1..)) - gamma(. | omega)|,
+    one row per glue point n in n_list, in its order.
 
     Both tails must start at site 1 and be zero-fill (finite representatives of
     points of the product space); for irregular inputs there is no finite
-    certificate, so unspecified tails are rejected.
+    certificate, so unspecified tails are rejected.  Glue points are read as
+    ints by the rule configurations read symbols by, and must be >= 1.
+
+    Each tail is scanned once.  The head (1,) + omega is scanned through
+    every glue point in turn, keeping the scan state at each.  A row resumes
+    omega's state at n and steps eta's sites up to eta's first 0 past n: the
+    leading 1s extend omega's run across the glue point.  Past that 0 every
+    run is eta's own, so the row adds eta's own terms from there on, which
+    one scan of eta recorded in site order.  Each row's sums thus receive
+    the same terms in the same site order as a scan of its glued tail, and
+    its float bits are that scan's.
     """
     for c, name in ((omega, "omega"), (eta, "eta")):
         _check_tail(c, name)
         if c.tail is not Tail.ZERO_FILL:
             raise ValueError(f"{name} must carry a zero-fill tail")
-    if any(n < 1 for n in n_list):
-        raise ValueError("glue points must be >= 1")
-    # omega[1..n] eta[n+1..) as values on sites 0..hi; trailing zeros of a
-    # zero-fill tail change nothing, so the glued tail needs no padding past eta
-    head = (1,) + omega.values + (0,) * (max(n_list, default=0) - len(omega.values))
-    ref1, ref_radius = _kernel(params, head, True)
-    rows = []
+    n_list = _symbols(n_list, "glue point")
     for n in n_list:
-        cur1, cur_radius = _kernel(params, head[:n + 1] + eta.values[n:], True)
+        if n < 1:
+            raise ValueError(f"glue point n must be >= 1, got {n}")
+    if not n_list:
+        return ()
+    depth = params.m
+    # trailing zeros of a zero-fill tail change nothing, so both tails may be
+    # padded: omega through the last glue point, and eta so that a 0 follows
+    # every glue point
+    last = max(n_list)
+    head = (1,) + omega.values + (0,) * (last - len(omega.values))
+    state, at = None, {}
+    for n in sorted(set(n_list)):
+        state = at[n] = _scan(head, params, depth, state, n)
+    _, _, energy, past, _ = _scan(head, params, depth, state)
+    ref1, ref_radius = _bracket(params, energy, past)
+    own = (1,) + eta.values + (0,) * (max(last - len(eta.values), 0) + 1)
+    first_zero = bytes(own).find
+    stop = {n: first_zero(0, n + 1) for n in at}  # eta's first 0 past each glue point
+    # eta's own terms past the first of those 0s, with how many precede each
+    energy_terms, past_terms = _Terms(), _Terms()
+    state, marks = (min(stop.values()), 0, energy_terms, past_terms, 0), {}
+    for z in sorted(set(stop.values())):
+        state = _scan(own, params, depth, state, z)
+        marks[z] = len(energy_terms), len(past_terms)
+    _scan(own, params, depth, state)
+    rows = {}
+    for n, state in at.items():
+        z = stop[n]
+        _, _, energy, past, _ = _scan(own, params, depth, state, z)
+        k_energy, k_past = marks[z]
+        # a left fold, not sum(), which compensates float additions from Python 3.12
+        energy = reduce(operator.add, energy_terms[k_energy:], energy)
+        past = reduce(operator.add, past_terms[k_past:], past)
+        cur1, cur_radius = _bracket(params, energy, past)
         # sup over both symbols: gamma(0 | .) = 1.0 - gamma(1 | .) rounds on its own
         diff = max(abs((1.0 - cur1) - (1.0 - ref1)), abs(cur1 - ref1))
-        rows.append(GluedRow(n, diff, cur_radius + ref_radius))
-    return tuple(rows)
+        rows[n] = GluedRow(n, diff, cur_radius + ref_radius)
+    return tuple(rows[n] for n in n_list)
 
 
 @dataclass(frozen=True)
@@ -479,10 +541,15 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
     """Fraction of fair-coin tails eta whose glued kernel moves by more than eps.
 
     Estimates the mass of {eta : sup_xi |gamma(xi | omega[1..n] eta) -
-    gamma(xi | omega)| > eps} by sampling eta on (n, n + tail_depth].
+    gamma(xi | omega)| > eps} by sampling eta on (n, n + tail_depth].  n is
+    read as an int by the rule configurations read symbols by.  The head
+    (1,) + omega[1..n] is scanned once, and each sample resumes its state.
     """
     if not 0 <= eps <= 2:
         raise ValueError("eps must lie in [0, 2]")
+    n, = _symbols((n,), "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_tail(omega, "omega")
     if tail_depth < 1:
         raise ValueError("tail_depth must be >= 1")
@@ -490,9 +557,12 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
         raise ValueError("samples must be >= 1")
     head = (1,) + omega.restrict(1, n).values
     ref1, _ = _kernel(params, (1,) + omega.values, omega.tail is Tail.ZERO_FILL)
+    state = _scan(head, params, params.m)  # each sample resumes after site n
     bits = rng.generator().integers(0, 2, size=(samples, tail_depth))
-    hits = sum(abs(_kernel(params, head + tuple(row), True)[0] - ref1) > eps
-               for row in bits.tolist())
+    hits = 0
+    for row in bits.tolist():
+        _, _, energy, past, _ = _scan(head + tuple(row), params, params.m, state)
+        hits += abs(_bracket(params, energy, past)[0] - ref1) > eps
     f = hits / samples
     return FractionEstimate(f, math.sqrt(f * (1 - f) / samples), samples)
 
@@ -534,10 +604,9 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
     if m - n > TAIL_CAP:
         raise EnumerationCapError(f"2^{m - n} tails is past the enumeration cap")
     head = (1,) + prefix.values
-    energy, past, _ = _scan(head, params, params.m)  # the zero-filled prefix
+    _, run, energy, past, _ = _scan(head, params, params.m)  # the zero-filled prefix
     ref1, ref_radius = _bracket(params, energy, past)
     ref0 = 1.0 - ref1
-    run = len(head) - len(bytes(head).rstrip(b"\x01"))  # the 1-run ending at site n
     weight, _, _ = params._weights
     depth, rho = params.m, params.rho
     states = {(run, energy, past)}

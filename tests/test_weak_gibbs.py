@@ -403,6 +403,98 @@ def test_bad_tail_fraction_monotone_in_threshold():
         bad_tail_fraction(HALF, om, -0.1, 2, 10, Rng(9))
 
 
+def test_glued_table_reads_a_generator_of_glue_points_once():
+    om, eta = binary_config("0110", lo=1), binary_config("1011", lo=1)
+    rows = glued_convergence_table(HALF, om, eta, (n for n in [1, 2]))
+    assert rows == glued_convergence_table(HALF, om, eta, [1, 2])
+    assert [r.n for r in rows] == [1, 2]
+
+
+def test_glue_points_and_sample_sites_read_as_ints():
+    om, eta = binary_config("0110", lo=1), binary_config("1011", lo=1)
+    rows = glued_convergence_table(HALF, om, eta, [2.0])
+    assert rows == glued_convergence_table(HALF, om, eta, [2])
+    assert type(rows[0].n) is int
+    for bad in (True, "2", 2.5):
+        with pytest.raises(TypeError, match=repr(bad)):
+            glued_convergence_table(HALF, om, eta, [1, bad])
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        glued_convergence_table(HALF, om, eta, [3, 0])
+    assert (bad_tail_fraction(HALF, om, 0.01, 2.0, 50, Rng(9), tail_depth=8)
+            == bad_tail_fraction(HALF, om, 0.01, 2, 50, Rng(9), tail_depth=8))
+    for bad in (True, "2", 2.5):
+        with pytest.raises(TypeError, match=repr(bad)):
+            bad_tail_fraction(HALF, om, 0.01, bad, 50, Rng(9))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        bad_tail_fraction(HALF, om, 0.01, 0, 50, Rng(9))
+
+
+def test_kernel_reads_its_symbol_as_an_int():
+    tail = binary_config("0110", lo=1)
+    assert single_site_kernel(HALF, 1.0, tail) == single_site_kernel(HALF, 1, tail)
+    for bad in (True, "1", 0.5):
+        with pytest.raises(TypeError, match=repr(bad)):
+            single_site_kernel(HALF, bad, tail)
+    with pytest.raises(ValueError, match="got 2"):
+        single_site_kernel(HALF, 2.0, tail)
+
+
+BITS = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(tuple)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rho=RHOS, half_m=st.integers(0, 30), omega=BITS, eta=BITS,
+       n_list=st.lists(st.integers(1, 48), max_size=8))
+# omega's run at n continues into eta's leading 1s, past the depth of 4
+@example(rho=Fraction(1, 3), half_m=2, omega=(0, 1, 1, 1, 1), eta=(0,) * 5 + (1, 1, 1, 0, 1) * 4,
+         n_list=[5, 3, 5, 1])
+@example(rho=0.37, half_m=2, omega=(0, 1, 1, 1, 1), eta=(0,) * 5 + (1, 1, 1, 0, 1) * 4,
+         n_list=[5, 3, 5, 1])
+# eta all 1s, and glue points past both tails
+@example(rho=Fraction(1, 2), half_m=30, omega=(1, 0, 1), eta=(1,) * 12, n_list=[48, 2, 7, 12])
+@example(rho=0.5, half_m=3, omega=(0, 1) * 20, eta=(1, 1, 0) * 3, n_list=[40, 1, 9, 10])
+# float rho whose energy terms give other bits when eta's are added in another order
+@example(rho=0.37, half_m=9, omega=(0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1),
+         eta=(1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0), n_list=[2])
+def test_glued_rows_are_the_kernels_of_the_glued_tails(rho, half_m, omega, eta, n_list):
+    params = InteractionParams(rho, 2 * half_m)
+    rows = glued_convergence_table(params, binary_config(omega, lo=1),
+                                   binary_config(eta, lo=1), n_list)
+    ref = {s: single_site_kernel(params, s, binary_config(omega, lo=1)) for s in (0, 1)}
+    want = []
+    for n in n_list:
+        zeros = (0,) * (n - len(omega))
+        glued = binary_config(omega[:n] + zeros + eta[n:], lo=1)
+        cur = {s: single_site_kernel(params, s, glued) for s in (0, 1)}
+        want.append((n, max(abs(cur[s].value - ref[s].value) for s in (0, 1)).hex(),
+                     (cur[1].radius + ref[1].radius).hex()))
+    assert [(r.n, r.sup_diff.hex(), r.radius.hex()) for r in rows] == want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rho=RHOS, half_m=st.integers(0, 30), omega=BITS, n=st.integers(1, 45),
+       eps=st.sampled_from([0.0, 1e-4, 0.01, 0.1]), tail_depth=st.integers(1, 20),
+       unspecified=st.booleans(), seed=st.integers(0, 5))
+@example(rho=Fraction(1, 2), half_m=4, omega=(0, 1, 1, 1), n=4, eps=1e-4, tail_depth=12,
+         unspecified=False, seed=0)
+def test_tail_fraction_is_a_loop_over_its_samples(rho, half_m, omega, n, eps, tail_depth,
+                                                  unspecified, seed):
+    params = InteractionParams(rho, 2 * half_m)
+    if unspecified:
+        n = min(n, len(omega))  # the head must lie inside an unspecified omega
+    om = config(BINARY, 1, omega, tail=Tail.UNSPECIFIED if unspecified else Tail.ZERO_FILL)
+    got = bad_tail_fraction(params, om, eps, n, 30, Rng(seed), tail_depth=tail_depth)
+    ref = single_site_kernel(params, 1, om).value
+    head = om.restrict(1, n).values
+    hits = 0
+    for row in Rng(seed).generator().integers(0, 2, size=(30, tail_depth)).tolist():
+        cur = single_site_kernel(params, 1, binary_config(head + tuple(row), lo=1)).value
+        hits += abs(cur - ref) > eps
+    f = hits / 30
+    assert (got.value.hex(), got.stderr.hex(), got.samples) == (
+        f.hex(), math.sqrt(f * (1 - f) / 30).hex(), 30)
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_sampled_fractions_need_a_sample(samples):
     # no sample used to divide by zero
