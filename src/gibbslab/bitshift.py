@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     Alphabet,
-    Configuration,
     EnumerationCapError,
     MeasureProvider,
     Prob,
@@ -67,6 +66,8 @@ class ChannelParams:
     eps: Prob
 
     def __post_init__(self):
+        for name in ("d", "k"):  # read as symbols are: 2.0 is 2, a bool is no int
+            object.__setattr__(self, name, _symbols((getattr(self, name),), name)[0])
         if self.d < 2:
             raise ValueError("d must be >= 2 (otherwise outputs go negative)")
         if self.k <= self.d:
@@ -285,14 +286,9 @@ class BitShiftMeasure(MeasureProvider):
     def __init__(self, params: ChannelParams):
         self.params = params
         self.alphabet = Alphabet(params.output_symbols)
-        self.stationary = True
         self.rescale = None if params.exact else _rescale
         self.label = (f"bitshift(d={params.d},k={params.k},"
                       f"eps={format_prob(params.eps)})")
-
-    def log_prob(self, cfg: Configuration) -> float:
-        self.check_config(cfg)
-        return cylinder_log_prob(self.params, cfg.values)
 
     def _walker(self, lo: int) -> tuple:
         """(start, step, close) of the forward recursion over output words
@@ -347,9 +343,10 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
 
 
 def _rescale(alpha: tuple) -> tuple[tuple, int]:
-    """(alpha / 2^e, e) with the sum of alpha / 2^e in [1, 2), as core._rescale."""
-    e = math.frexp(sum(alpha))[1] - 1
-    return tuple(math.ldexp(a, -e) for a in alpha), e
+    """(alpha / 2^e, e) with (a0 + a1 + a2) / 2^e in [1, 2)."""
+    a0, a1, a2 = alpha
+    e = math.frexp(a0 + a1 + a2)[1] - 1
+    return (math.ldexp(a0, -e), math.ldexp(a1, -e), math.ldexp(a2, -e)), e
 
 
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:

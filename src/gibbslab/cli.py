@@ -329,7 +329,7 @@ def _provider(obj: dict, mode: str):
         return bs.BitShiftMeasure(_channel(obj, mode))
     if kind == "product_of_marginals":
         inner = _provider(obj["of"], mode)
-        if not inner.stationary:
+        if inner.support_window is not None:
             raise UsageError("product_of_marginals needs a stationary measure")
         site = inner.distribution(Window(0, 0))
         weights = [site[(s,)] for s in inner.alphabet.symbols]

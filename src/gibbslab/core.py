@@ -15,7 +15,7 @@ whole-window distribution walks it one site at a time, stepping each
 distinct state once (`prefix_walk`), and `regularity_probe` fetches one
 walker per fold, folds it once along a growing word and closes it at
 every n.  A float provider whose states can underflow also names a
-`rescale`, which the conditional folds apply after every step.
+`rescale`, which `log_prob` and the conditionals apply after every step.
 """
 from __future__ import annotations
 
@@ -373,9 +373,10 @@ def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int],
 
 
 def _rescale(acc: float) -> tuple[float, int]:
-    """(acc / 2^e, e) with acc / 2^e in [1, 2): never below a state of 1, so
-    a weight of 2^-1074 times it cannot round to 0, as it would at 1/2."""
-    e = math.frexp(acc)[1] - 1
+    """(acc / 2^e, e) with acc / 2^e in [2^52, 2^53): times any weight w in
+    [2^-1074, 1] that stays normal, so each step keeps 53 bits (at [1, 2) a
+    subnormal weight's product would keep only its bits above 2^-1074)."""
+    e = math.frexp(acc)[1] - 53
     return math.ldexp(acc, -e), e
 
 
@@ -397,17 +398,15 @@ class MeasureProvider:
     """Exact cylinder-probability source.
 
     Subclasses give one walker per first site, `_walker(lo) -> (start,
-    step, close)`, in the arithmetic their parameters were given in;
-    `prob`, `distribution` and `regularity_probe` all walk it.  How a
+    step, close)`, in the arithmetic their parameters were given in; `prob`,
+    `log_prob`, `distribution` and `regularity_probe` all walk it.  How a
     provider rescales a state depends on its arithmetic, not on where a
     walk starts, so it is the attribute `rescale`, not part of a walker.
-    `stationary` providers accept cylinders at any location; others expose
-    `support_window`.
+    A provider with no `support_window` takes cylinders anywhere.
     """
 
     alphabet: Alphabet
     label: str
-    stationary: bool = False
     support_window: Window | None = None
     # rescale(state) is (state / 2^e, e), exact in the normal range, so a
     # fold that rescales each step keeps a long word's mass finite; None for
@@ -440,10 +439,13 @@ class MeasureProvider:
         return _fold_quotient(fold(cfg.window.hi))
 
     def log_prob(self, cfg: Configuration) -> float:
-        p = self.prob(cfg)
-        if p == 0:
+        """log(j * 2^e / den) from one rescaled fold's close (j, den, e), so
+        a float word whose prob underflows keeps its finite log."""
+        self.check_config(cfg)
+        j, den, e = _cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi)
+        if j == 0:
             raise ZeroProbabilityError(f"{self.label}: zero-probability cylinder")
-        return math.log(p)
+        return math.log(j) - math.log(den) + e * math.log(2)
 
     def check_window(self, window: Window) -> None:
         if self.support_window is not None and not self.support_window.contains_window(window):
@@ -498,7 +500,6 @@ class BernoulliMeasure(MeasureProvider):
         self.weights = {s: w for s, w in zip(alphabet.symbols, ws)}
         self.exact = all(is_exact(w) for w in ws)
         self.rescale = None if self.exact else _rescale
-        self.stationary = True
         self.label = label or f"bernoulli{tuple(format_prob(w) for w in ws)}"
         nums, self._den = integer_scaled(ws, self.exact)
         self._nums = dict(zip(alphabet.symbols, nums))
@@ -510,13 +511,6 @@ class BernoulliMeasure(MeasureProvider):
         nums, den = self._nums, self._den
         return (den ** 0, lambda acc, s: acc * nums[s],
                 lambda hi: (lambda acc: acc, den ** (hi - lo + 1)))
-
-    def log_prob(self, cfg: Configuration) -> float:
-        self.check_config(cfg)
-        ws = [self.weights[v] for v in cfg.values]
-        if any(w == 0 for w in ws):
-            raise ZeroProbabilityError(f"{self.label}: zero-probability cylinder")
-        return math.fsum(math.log(float(w)) for w in ws)
 
 
 def fair_coin() -> BernoulliMeasure:

@@ -54,6 +54,7 @@ class InteractionParams:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _symbols((self.m,), "m")[0])  # 4.0 is 4
         object.__setattr__(self, "rho", as_prob(self.rho))
         check_finite((self.rho,), "rho")
         if not (0 < self.rho < 1):
@@ -454,6 +455,12 @@ def correlation_length(omega: Configuration) -> int:
     return _scan(values)[4] + 1
 
 
+def _sup_diff(cur1: float, ref1: float) -> float:
+    """sup over both symbols of |gamma(. | cur) - gamma(. | ref)| from the
+    two gamma(1 | .); gamma(0 | .) = 1.0 - gamma(1 | .) rounds on its own."""
+    return max(abs((1.0 - cur1) - (1.0 - ref1)), abs(cur1 - ref1))
+
+
 @dataclass(frozen=True)
 class GluedRow:
     n: int
@@ -520,9 +527,7 @@ def glued_convergence_table(params: InteractionParams, omega: Configuration,
         energy = reduce(operator.add, energy_terms[k_energy:], energy)
         past = reduce(operator.add, past_terms[k_past:], past)
         cur1, cur_radius = _bracket(params, energy, past)
-        # sup over both symbols: gamma(0 | .) = 1.0 - gamma(1 | .) rounds on its own
-        diff = max(abs((1.0 - cur1) - (1.0 - ref1)), abs(cur1 - ref1))
-        rows[n] = GluedRow(n, diff, cur_radius + ref_radius)
+        rows[n] = GluedRow(n, _sup_diff(cur1, ref1), cur_radius + ref_radius)
     return tuple(rows[n] for n in n_list)
 
 
@@ -541,8 +546,9 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
     """Fraction of fair-coin tails eta whose glued kernel moves by more than eps.
 
     Estimates the mass of {eta : sup_xi |gamma(xi | omega[1..n] eta) -
-    gamma(xi | omega)| > eps} by sampling eta on (n, n + tail_depth].  n is
-    read as an int by the rule configurations read symbols by.  The head
+    gamma(xi | omega)| > eps} by sampling eta on (n, n + tail_depth], the
+    sup taken as glued_convergence_table takes it (_sup_diff).  n is read
+    as an int by the rule configurations read symbols by.  The head
     (1,) + omega[1..n] is scanned once, and each sample resumes its state.
     """
     if not 0 <= eps <= 2:
@@ -562,7 +568,7 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
     hits = 0
     for row in bits.tolist():
         _, _, energy, past, _ = _scan(head + tuple(row), params, params.m, state)
-        hits += abs(_bracket(params, energy, past)[0] - ref1) > eps
+        hits += _sup_diff(_bracket(params, energy, past)[0], ref1) > eps
     f = hits / samples
     return FractionEstimate(f, math.sqrt(f * (1 - f) / samples), samples)
 

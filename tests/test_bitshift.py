@@ -77,6 +77,23 @@ def test_params_validation():
         ChannelParams(2, 3, HALF, Fraction(-1, 4))
 
 
+@pytest.mark.parametrize("d, k", [(2.0, 3), (2, 3.0)])
+def test_params_read_integral_float_bounds_as_ints(d, k):
+    # 2.0 and 3.0 used to be kept, and indexing the model with them failed
+    params = ChannelParams(d, k, HALF, Fraction(1, 4))
+    assert (params.d, params.k) == (2, 3) and type(params.d) is type(params.k) is int
+    assert cylinder_prob(params, (0, 2, 2)) == Fraction(1, 2048)
+
+
+@pytest.mark.parametrize("field", ["d", "k"])
+@pytest.mark.parametrize("bad", [True, "3", 2.5])
+def test_params_reject_bounds_that_are_not_integers(field, bad):
+    # ChannelParams(True, 3, ...) used to fail as "d must be >= 2"
+    bounds = {"d": 2, "k": 3, field: bad}
+    with pytest.raises(TypeError, match=rf"^{field} {re.escape(repr(bad))} is not an integer"):
+        ChannelParams(bounds["d"], bounds["k"], HALF, Fraction(1, 4))
+
+
 def test_params_alphabets_and_weights(std_channel):
     assert std_channel.input_symbols == (2, 3)
     assert std_channel.output_symbols == (0, 1, 2, 3, 4, 5)
@@ -372,7 +389,7 @@ def test_measure_provider_wraps_the_channel(std_channel):
     nu = BitShiftMeasure(std_channel)
     cfg = Configuration(nu.alphabet, Window(3, 5), (0, 2, 2))
     assert nu.prob(cfg) == Fraction(1, 2048)  # stationary: location free
-    assert nu.stationary
+    assert nu.support_window is None
     with pytest.raises(ValueError):
         nu.prob(binary_config("01"))
     dist = nu.distribution(Window(0, 1))

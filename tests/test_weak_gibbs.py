@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,21 @@ def test_params_validation():
         InteractionParams(Fraction(1, 2), -2)
     assert InteractionParams(0.5, 4).exact is False
     assert InteractionParams("1/2", 4).exact is True
+
+
+def test_params_read_an_integral_float_depth_as_an_int():
+    # m = 4.0 used to be kept, and slicing the weights with it failed
+    params = InteractionParams(Fraction(1, 2), 4.0)
+    assert params.m == 4 and type(params.m) is int
+    assert hamiltonian(params, binary_config("11011")) == hamiltonian(
+        InteractionParams(Fraction(1, 2), 4), binary_config("11011"))
+    assert FiniteVolumeMeasure(params, "rational").prob(binary_config("1")) > 0
+
+
+@pytest.mark.parametrize("bad", [True, "4", 2.5])
+def test_params_reject_a_depth_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError, match=rf"^m {re.escape(repr(bad))} is not an integer"):
+        InteractionParams(Fraction(1, 2), bad)
 
 
 # -------------------------------------------------------------- run length
@@ -484,15 +500,29 @@ def test_tail_fraction_is_a_loop_over_its_samples(rho, half_m, omega, n, eps, ta
         n = min(n, len(omega))  # the head must lie inside an unspecified omega
     om = config(BINARY, 1, omega, tail=Tail.UNSPECIFIED if unspecified else Tail.ZERO_FILL)
     got = bad_tail_fraction(params, om, eps, n, 30, Rng(seed), tail_depth=tail_depth)
-    ref = single_site_kernel(params, 1, om).value
     head = om.restrict(1, n).values
     hits = 0
     for row in Rng(seed).generator().integers(0, 2, size=(30, tail_depth)).tolist():
-        cur = single_site_kernel(params, 1, binary_config(head + tuple(row), lo=1)).value
-        hits += abs(cur - ref) > eps
+        glued = binary_config(head + tuple(row), lo=1)
+        hits += max(abs(single_site_kernel(params, s, glued).value
+                        - single_site_kernel(params, s, om).value) for s in (0, 1)) > eps
     f = hits / 30
     assert (got.value.hex(), got.stderr.hex(), got.samples) == (
         f.hex(), math.sqrt(f * (1 - f) / 30).hex(), 30)
+
+
+def test_tail_fraction_counts_the_sup_over_both_symbols():
+    # gamma(0) = 1.0 - gamma(1) rounds on its own, so on this sampled tail
+    # |d gamma(0)| exceeds |d gamma(1)|: with eps at |d gamma(1)| the sample
+    # counts, as its row of the glued table says it moves by more than eps
+    params, om, n = InteractionParams(Fraction(1, 2), 400), binary_config("110" * 10, lo=1), 6
+    row = tuple(Rng(1).generator().integers(0, 2, size=(1, 10)).tolist()[0])
+    glued = binary_config(om.values[:n] + row, lo=1)
+    eps = abs(single_site_kernel(params, 1, glued).value
+              - single_site_kernel(params, 1, om).value)
+    sup = glued_convergence_table(params, om, binary_config((0,) * n + row, lo=1), [n])[0]
+    assert sup.sup_diff > eps
+    assert bad_tail_fraction(params, om, eps, n, 1, Rng(1), tail_depth=10).value == 1.0
 
 
 @pytest.mark.parametrize("samples", [0, -1])
