@@ -52,6 +52,7 @@ if TYPE_CHECKING:
 
 JITTER = (-1, 0, 1)
 BLOCK_ENTROPY_CAP = 12
+CAPACITY_EVAL_CAP = 10_000  # entropy_bounds calls one capacity_search may make
 BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
 
@@ -584,12 +585,22 @@ def capacity_search(d: int, k: int, eps: Prob, grid: int = 8, refine: int = 3,
     """Grid-plus-refinement search for input weights maximizing the midpoint of
     the entropy bounds at depth n_eval.  Deterministic: exhaustive grid with
     lexicographic tie-break, then local halving steps around the incumbent.
+    Raises EnumerationCapError, before any point is enumerated, when the
+    interior grid points plus refine rounds of moves exceed CAPACITY_EVAL_CAP.
     """
     parts = k - d + 1
     if parts - 1 > 3:
         raise EnumerationCapError("capacity search supports k - d <= 3")
     if grid < parts:
         raise ValueError("grid must be at least the number of input symbols")
+    # every interior grid point, then each round's moves around the incumbent
+    per_round = sum(1 for delta in itertools.product((-1, 0, 1), repeat=parts)
+                    if sum(delta) == 0 and any(delta))
+    evaluations = math.comb(grid - 1, parts - 1) + refine * per_round
+    if evaluations > CAPACITY_EVAL_CAP:
+        raise EnumerationCapError(
+            f"capacity search with grid={grid}, refine={refine} over {parts} inputs "
+            f"needs up to {evaluations} evaluations, over cap {CAPACITY_EVAL_CAP}")
     eps = as_prob(eps)
 
     def evaluate(p: tuple[Fraction, ...]) -> tuple[float, float]:

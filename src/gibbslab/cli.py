@@ -1,7 +1,7 @@
 """Batch front-end: every experiment behind one subcommand, JSON config in,
 CSV or JSON out.
 
-Usage:
+Usage (the flags are one set shared by every subcommand, before or after it):
     gibbslab <subcommand> --config cfg.json [--out path] [--mode rational|float]
              [--seed N] [--threads N] [--precision D]
     gibbslab <subcommand> --print-schema
@@ -591,19 +591,17 @@ RUNNERS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--mode", choices=("rational", "float"), default="rational")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; execution is serial")
-        p.add_argument("--precision", type=int, default=None,
-                       help="significant digits for float output (default: full)")
-        p.add_argument("--print-schema", action="store_true",
-                       help="print this subcommand's config schema and exit")
+    parser.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--mode", choices=("rational", "float"), default="rational")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for interface stability; execution is serial")
+    parser.add_argument("--precision", type=int, default=None,
+                        help="significant digits for float output (default: full)")
+    parser.add_argument("--print-schema", action="store_true",
+                        help="print this subcommand's config schema and exit")
     return parser
 
 

@@ -30,7 +30,9 @@ from gibbslab import (
     simulate,
     smb_estimate,
 )
-from gibbslab.bitshift import JITTER, _entropy_sweeps, _simulate, transition_matrices
+from gibbslab import bitshift
+from gibbslab.bitshift import (
+    CAPACITY_EVAL_CAP, JITTER, _entropy_sweeps, _simulate, transition_matrices)
 from gibbslab.core import Configuration, Alphabet, binary_config, is_exact
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
@@ -602,6 +604,21 @@ def test_capacity_validation():
         capacity_search(2, 6, Fraction(1, 4))
     with pytest.raises(ValueError):
         capacity_search(2, 3, Fraction(1, 4), grid=1)
+
+
+def test_capacity_evaluations_are_capped_before_any_is_made(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(bitshift, "entropy_bounds",
+                        lambda params, n: evaluated.append(params.p) or (0.0, 0.0))
+    # two inputs: grid - 1 interior points, then 2 moves per refine round
+    capacity_search(2, 3, Fraction(1, 4), grid=CAPACITY_EVAL_CAP + 1, refine=0)
+    assert len(evaluated) == CAPACITY_EVAL_CAP
+    evaluated.clear()
+    for k, grid, refine in ((3, CAPACITY_EVAL_CAP + 2, 0), (3, 8, CAPACITY_EVAL_CAP // 2),
+                            (5, 1000, 0), (5, 8, 10**6)):
+        with pytest.raises(EnumerationCapError, match="over cap"):
+            capacity_search(2, k, Fraction(1, 4), grid=grid, refine=refine)
+    assert evaluated == []
 
 
 # ------------------------------------------------- exact and float twins

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from gibbslab import ChannelParams, Rng, entropy_levels
-from gibbslab.cli import SCHEMAS, _JSON_TYPES, _violation, main
+from gibbslab.cli import SCHEMAS, SUBCOMMANDS, _JSON_TYPES, _violation, build_parser, main
 
 
 def write_cfg(tmp_path, name, payload):
@@ -229,6 +229,43 @@ def test_missing_subcommand_and_config(tmp_path, capsys):
     expect_error(capsys, ["bogus-subcommand"], 1, "invalid-config")
 
 
+def test_flags_may_come_before_the_subcommand(tmp_path, capsys):
+    smb = write_cfg(tmp_path, "smb.json", VALID["bs-entropy", "smb"])
+    before = invoke(capsys, ["--mode", "float", "--seed", "5", "bs-entropy", "--config", smb])
+    after = invoke(capsys, ["bs-entropy", "--config", smb, "--mode", "float", "--seed", "5"])
+    assert before == after and before[0] == 0 and '"seed": 5' in before[1]
+
+
+@pytest.mark.parametrize("argv", [[], ["--mode", "float"]])
+def test_flags_without_a_subcommand_exit_one(capsys, argv):
+    rec = expect_error(capsys, argv, 1, "invalid-config")
+    assert "a subcommand is required" in rec["message"]
+
+
+def test_unknown_subcommand_names_the_choices(capsys):
+    rec = expect_error(capsys, ["bogus"], 1, "invalid-config")
+    assert len(SUBCOMMANDS) == 8
+    assert all(sub in rec["message"] for sub in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_help_lists_every_flag(capsys, sub):
+    with pytest.raises(SystemExit) as exit_:
+        main([sub, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--config", "--out", "--mode", "--seed", "--threads", "--precision",
+                 "--print-schema"):
+        assert flag in out
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_every_subcommand_parses_with_the_defaults(sub):
+    args = build_parser().parse_args([sub])
+    assert (args.subcommand, args.mode, args.seed, args.threads, args.precision) == (
+        sub, "rational", 0, 1, None)
+
+
 def test_unreadable_and_malformed_config(tmp_path, capsys):
     expect_error(capsys, ["bs-badconfig", "--config",
                           str(tmp_path / "absent.json")], 1, "invalid-config")
@@ -288,6 +325,12 @@ def test_cap_exceeded_maps_to_exit_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {**STD_CHANNEL, "experiment": "levels", "n_max": 20})
     expect_error(capsys, ["bs-entropy", "--config", cfg], 2, "cap-exceeded")
+
+
+def test_capacity_grid_over_the_evaluation_cap_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"d": 2, "k": 5, "eps": "1/4", "grid": 1000000})
+    rec = expect_error(capsys, ["bs-capacity", "--config", cfg], 2, "cap-exceeded")
+    assert "over cap" in rec["message"]
 
 
 def test_entropy_cap_can_be_lowered_but_not_raised(tmp_path, capsys):
@@ -416,7 +459,8 @@ KEYWORDS = {"type", "oneOf", "const", "enum", "pattern", "minLength", "minItems"
 PAIR = {"kind": "product_of_marginals", "of": {"kind": "bitshift", **STD_CHANNEL}}
 GIBBS = {"kind": "weak_gibbs", "rho": "1/2", "m": 6}
 
-# one valid config per (subcommand, experiment), with its optional keys set
+# one valid config per (subcommand, experiment), with its optional keys set;
+# each runs in float mode, and in rational mode unless it is in INEXACT
 VALID = {
     ("wg-converge", "probe"): {
         "experiment": "probe", "rho": "1/8", "m": 12, "omega": "0" * 12,
@@ -436,7 +480,7 @@ VALID = {
     ("bs-entropy", "levels"): {**STD_CHANNEL, "experiment": "levels", "n_max": 3,
                                "cap": 12},
     ("bs-entropy", "bounds"): {**STD_CHANNEL, "experiment": "bounds", "n_max": 3,
-                               "cap": 1},
+                               "cap": 3},
     ("bs-entropy", "smb"): {**STD_CHANNEL, "experiment": "smb", "n": 40, "samples": 64},
     ("bs-capacity", None): {"d": 2, "k": 3, "eps": "1/4", "grid": 8, "refine": 0,
                             "n_eval": 5},
@@ -445,11 +489,12 @@ VALID = {
     ("relent", "density"): {
         "experiment": "density", "n_max": 3, "lo": 1, "mu": {"kind": "fair_coin"},
         "nu": {"kind": "bernoulli", "alphabet": [0, 1], "weights": ["1/4", 0.75]}},
-    ("relent", "tv_identity"): {"experiment": "tv_identity", "nu": GIBBS, "mu": PAIR,
+    ("relent", "tv_identity"): {"experiment": "tv_identity", "nu": GIBBS,
+                                "mu": {"kind": "fair_coin"},
                                 "lam": {"lo": 0, "hi": 0}, "delta": {"lo": 0, "hi": 6}},
     ("relent", "conditional_gap"): {
-        "experiment": "conditional_gap", "nu": GIBBS, "lam": {"lo": 0, "hi": 1},
-        "n_max": 3, "mu": {"kind": "product_of_marginals", "of": GIBBS}},
+        "experiment": "conditional_gap", "nu": {"kind": "bitshift", **STD_CHANNEL},
+        "lam": {"lo": 0, "hi": 1}, "n_max": 3, "mu": PAIR},
     ("oracle", "channel_cylinder"): {**STD_CHANNEL, "experiment": "channel_cylinder",
                                      "y": [0, 2, 2]},
     ("oracle", "channel_distribution"): {**STD_CHANNEL,
@@ -531,6 +576,23 @@ def test_every_schema_has_a_valid_example():
     assert set(VALID) == set(SCHEMAS)
     for key, cfg in VALID.items():
         assert _violation(SCHEMAS[key], cfg, SCHEMAS[key]) is None, key
+
+
+# the two VALID configs that give a probability as a bare JSON float, which
+# rational mode refuses
+INEXACT = {("wg-converge", "glued"), ("relent", "density")}
+
+
+@pytest.mark.parametrize("key", sorted(VALID, key=str))
+def test_every_valid_config_runs(tmp_path, capsys, key):
+    sub, _ = key
+    cfg = write_cfg(tmp_path, "c.json", VALID[key])
+    assert invoke(capsys, [sub, "--config", cfg, "--mode", "float"])[0] == 0
+    code, _, err = invoke(capsys, [sub, "--config", cfg])
+    if key in INEXACT:
+        assert code == 1 and "rational mode needs exact numbers" in err
+    else:
+        assert code == 0, err
 
 
 def test_schemas_are_valid_draft_2020_12():
