@@ -35,6 +35,7 @@ from .core import (
     ZeroProbabilityError,
     _cylinder_fold,
     _fold_quotient,
+    _left_sum,
     _symbols,
     as_prob,
     check_finite,
@@ -213,7 +214,7 @@ def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
     word = _check_word(params, y)
     init, mats, den0, den = params._forward_model
     alpha = _forward(init, map(mats.__getitem__, word))[0]
-    return scaled_quotient(sum(alpha), den0 * den ** len(word))
+    return scaled_quotient(_left_sum(alpha), den0 * den ** len(word))
 
 
 def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
@@ -306,7 +307,7 @@ class BitShiftMeasure(MeasureProvider):
                    m6 * a0 + m7 * a1 + m8 * a2)
             return nxt if nxt != (0, 0, 0) else None
 
-        return init, step, lambda hi: (sum, den0 * den ** (hi - lo + 1))
+        return init, step, lambda hi: (_left_sum, den0 * den ** (hi - lo + 1))
 
 
 @dataclass(frozen=True)
@@ -453,8 +454,8 @@ def _closed_levels(sums: tuple[np.ndarray, np.ndarray, np.ndarray], sigma: float
     h, c, c_log_c = (a.tolist() for a in sums)
     pin = h if pinned is None else pinned.tolist()
     for m in range(1, len(h)):
-        h[m] += sum(c[l] * pin[m - l] - c_log_c[l] * sigma ** (m - l + 1)
-                    for l in range(1, m + 1))
+        h[m] += _left_sum(c[l] * pin[m - l] - c_log_c[l] * sigma ** (m - l + 1)
+                          for l in range(1, m + 1))
     return np.array(h)
 
 

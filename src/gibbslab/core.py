@@ -15,7 +15,8 @@ whole-window distribution walks it one site at a time, stepping each
 distinct state once (`prefix_walk`), and `regularity_probe` fetches one
 walker per fold, folds it once along a growing word and closes it at
 every n.  A float provider whose states can underflow also names a
-`rescale`, which `log_prob` and the conditionals apply after every step.
+`rescale`, which every fold (`prob`, `log_prob`, `density_ratio` and the
+conditionals) applies after every step.
 """
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ import enum
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -106,6 +109,12 @@ def integer_scaled(values: Sequence[Prob], exact: bool) -> tuple[list, int | flo
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+def _left_sum(values: Iterable) -> Prob:
+    """0 + v0 + v1 + ..., added left to right as sum() adds on Python 3.11.
+    From 3.12 sum() compensates float additions, which rounds differently."""
+    return reduce(operator.add, values, 0)
+
+
 def scaled_quotient(num: int | float, den: int | float) -> Prob:
     """num / den for sums over integer_scaled weights: one lowest-terms
     Fraction for an int den, a float division otherwise."""
@@ -160,8 +169,6 @@ def format_prob(x: Prob) -> str:
 
 def parse_prob(text: str) -> Prob:
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
     try:
         return Fraction(text)
     except ValueError:
@@ -339,17 +346,16 @@ def glue(inner: Configuration, middle: Configuration | None,
     return Configuration(alphabet, win, tuple(values), tail)
 
 
-def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int],
-                   rescaled: bool = True):
+def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
     """num(hi) -> (numerator, den, e) of the cylinder word[:hi - lo + 1] on
     [lo, hi], which has probability numerator * 2^e / den, for hi that never
     decrease.  The provider's walker is fetched once, on the first call, and
     its step folded along word once; each call checks its window against the
     provider's support, steps the new sites (rescaling after each one with
-    the provider's rescale, if asked and it has one) and closes with the
-    leaf and den of close(hi)."""
+    the provider's rescale, if it has one) and closes with the leaf and den
+    of close(hi).  Every cylinder query folds here, so each one rescales."""
     support = provider.support_window
-    rescale = provider.rescale if rescaled else None
+    rescale = provider.rescale
     state = step = close = done = None  # done: the sites stepped so far
     e = 0
 
@@ -382,14 +388,14 @@ def _rescale(acc: float) -> tuple[float, int]:
 
 def _fold_quotient(joint: tuple, given: tuple = (1, 1, 0), label: str = "") -> Prob:
     """P(joint) / P(given) from two _cylinder_fold closes (given defaults to
-    the sure event): a lowest-terms Fraction for int dens, else the quotient
-    of the rescaled probabilities times 2^(e_joint - e_given), which stays
-    finite where both underflow and has the plain quotient's bits where no
-    step leaves the normal range.  ZeroProbabilityError if given has no mass."""
+    the sure event): a lowest-terms Fraction for two int dens, else the
+    quotient of the rescaled probabilities times 2^(e_joint - e_given), which
+    stays finite where both underflow and has the plain quotient's bits where
+    no step leaves the normal range.  ZeroProbabilityError if given has no mass."""
     (j, den_j, e_j), (g, den_g, e_g) = joint, given
     if g == 0:
         raise ZeroProbabilityError(f"{label}: conditioning cylinder has probability zero")
-    if isinstance(den_j, int):  # equal dens cancel, to the same lowest terms
+    if isinstance(den_j, int) and isinstance(den_g, int):  # equal dens cancel
         return Fraction(j, g) if den_j == den_g else Fraction(j * den_g, g * den_j)
     return math.ldexp(j / den_j / (g / den_g), e_j - e_g)
 
@@ -434,9 +440,9 @@ class MeasureProvider:
         raise NotImplementedError
 
     def prob(self, cfg: Configuration) -> Prob:
+        """j * 2^e / den from one rescaled fold's close (j, den, e)."""
         self.check_config(cfg)
-        fold = _cylinder_fold(self, cfg.window.lo, cfg.values, rescaled=False)
-        return _fold_quotient(fold(cfg.window.hi))
+        return _fold_quotient(_cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi))
 
     def log_prob(self, cfg: Configuration) -> float:
         """log(j * 2^e / den) from one rescaled fold's close (j, den, e), so
@@ -464,9 +470,10 @@ class MeasureProvider:
 
     def _scaled_distribution(self, window: Window) -> tuple[dict, int | float]:
         """(nums, den) after the WORD_CAP and support checks: every word on the
-        window, lexicographic, mapped to the numerator over den of the
-        probability `prob` gives it, from one walk that steps each distinct
-        state once per site; a dropped prefix's words list 0."""
+        window, lexicographic, mapped to the numerator over den of its
+        unrescaled fold (`prob`'s bits wherever every state stays normal),
+        from one walk that steps each distinct state once per site; a
+        dropped prefix's words list 0."""
         n_words = len(self.alphabet) ** window.size
         if n_words > WORD_CAP:
             raise EnumerationCapError(
@@ -533,7 +540,7 @@ class TableMeasure(MeasureProvider):
         for w in ws.values():
             if w < 0:
                 raise ValueError("negative weight")
-        total = sum(ws.values())
+        total = _left_sum(ws.values())
         if total == 0:
             raise ValueError("all weights zero")
         self.alphabet = alphabet

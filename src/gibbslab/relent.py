@@ -32,6 +32,8 @@ from .core import (
     Prob,
     Window,
     ZeroProbabilityError,
+    _cylinder_fold,
+    _fold_quotient,
 )
 
 
@@ -123,11 +125,14 @@ def relative_entropy_density(nu: MeasureProvider, mu: MeasureProvider,
 
 def density_ratio(nu: MeasureProvider, mu: MeasureProvider,
                   cfg: Configuration) -> Prob:
-    """nu(cfg) / mu(cfg); mu-averaging this over any window gives exactly 1."""
-    denom = mu.prob(cfg)
-    if denom == 0:
-        raise ZeroProbabilityError(f"{mu.label}: zero mass on the given cylinder")
-    return nu.prob(cfg) / denom
+    """nu(cfg) / mu(cfg); mu-averaging this over any window gives exactly 1.
+    One rescaled fold of each measure along cfg, closed through one
+    quotient, so the ratio stays finite where either cylinder underflows."""
+    mu.check_config(cfg)
+    nu.check_config(cfg)
+    lo, hi = cfg.window.lo, cfg.window.hi
+    return _fold_quotient(_cylinder_fold(nu, lo, cfg.values)(hi),
+                          _cylinder_fold(mu, lo, cfg.values)(hi), mu.label)
 
 
 def _rest_positions(delta: Window, lam: Window) -> list[int]:

@@ -39,6 +39,9 @@ from .core import (
     integer_scaled,
     is_exact,
     scaled_quotient,
+    _cylinder_fold,
+    _fold_quotient,
+    _left_sum,
     _symbols,
 )
 
@@ -328,6 +331,9 @@ class FiniteVolumeMeasure(MeasureProvider):
         self.alphabet = BINARY
         self.support_window = Window(0, params.m)
         self.label = f"weak-gibbs(rho={format_prob(params.rho)},m={params.m})"
+        # ints add exactly in any order, and fastest by sum(); floats keep
+        # the additions sum() makes on 3.11
+        self._add = sum if mode == "rational" else _left_sum
         self._weight, self._den = integer_scaled(
             [math.exp(-float(_rho_pow(params.rho, e))) for e in range(params.m // 2 + 1)],
             mode == "rational")
@@ -360,7 +366,7 @@ class FiniteVolumeMeasure(MeasureProvider):
         zero *= scale if v is not None else 2 * scale
         if not runs:  # only the sigma_0 = 0 branch carries mass
             return i + 1, zero, runs
-        ended = sum(runs) * scale if v != 1 else 0  # a 0 ends every run
+        ended = self._add(runs) * scale if v != 1 else 0  # a 0 ends every run
         if v == 0:
             return i + 1, zero, (ended,)
         if not odd:  # a 1 extends every run; U(i) fires if it stays <= n
@@ -395,15 +401,7 @@ class FiniteVolumeMeasure(MeasureProvider):
         _suffix[i]."""
         i, zero, runs = state
         z, r = self._suffix[i]
-        return zero * z + sum(map(operator.mul, runs, r))
-
-    def _sum(self, lo: int, values) -> int | float:
-        """Scaled weight of the words whose sites lo, lo + 1, ... hold values
-        (None: either symbol): the fixed sites stepped from _prefix[lo]."""
-        state, step = self._prefix[lo], self._step
-        for v in values:
-            state = step(state, v)
-        return self._close(state)
+        return zero * z + self._add(map(operator.mul, runs, r))
 
     def _walker(self, lo: int) -> tuple:
         """_step itself from the prefix state at lo, and _close itself for
@@ -413,21 +411,19 @@ class FiniteVolumeMeasure(MeasureProvider):
         closed = self._close, self._total
         return self._prefix[lo], self._step, lambda hi: closed
 
-    def prob(self, cfg: Configuration) -> Prob:
-        self.check_config(cfg)
-        return scaled_quotient(self._sum(cfg.window.lo, cfg.values), self._total)
+    prob = MeasureProvider.prob  # bound here: bench/spans.py wraps it from the class __dict__
 
     def event_prob(self, fixed: dict[int, int]) -> Prob:
         """Probability that the listed sites (not necessarily contiguous) hold
-        the listed values."""
+        the listed values: one fold, whose _step reads a None as either symbol."""
         for i, v in fixed.items():
             if not 0 <= i <= self.params.m:
                 raise ValueError(f"site {i} outside the volume [0,{self.params.m}]")
             if v not in (0, 1):
                 raise ValueError("binary symbols only")
         lo, hi = min(fixed, default=0), max(fixed, default=0)
-        return scaled_quotient(self._sum(lo, [fixed.get(i) for i in range(lo, hi + 1)]),
-                               self._total)
+        fold = _cylinder_fold(self, lo, [fixed.get(i) for i in range(lo, hi + 1)])
+        return _fold_quotient(fold(hi))
 
 
 def in_bad_set(omega: Configuration, k: int) -> bool:

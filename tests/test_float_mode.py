@@ -7,17 +7,22 @@ pass), so each probability is a few ulp off.  These properties bound that
 drift over random exact channels and random rho.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gibbslab import (
     BINARY,
+    Alphabet,
+    BernoulliMeasure,
     BitShiftMeasure,
     ChannelParams,
     FiniteVolumeMeasure,
     InteractionParams,
+    Rng,
     Tail,
     ZeroProbabilityError,
     bad_config_table,
@@ -27,6 +32,7 @@ from gibbslab import (
     cylinder_log_prob,
     cylinder_prob,
     regularity_probe,
+    simulate,
     single_site_kernel,
 )
 
@@ -144,3 +150,83 @@ def test_volume_and_kernel_float_mode_tracks_rational_mode(rho, half, data):
     if m:
         omega = config(BINARY, 1, data.draw(st.lists(bits, min_size=m, max_size=m)))
         _assert_probes_close(fmu, mu, config(BINARY, 0, (data.draw(bits),)), omega)
+
+
+# the benchmark's two cylinder channels: dyadic weights, so the float model
+# holds the exact model's numbers
+DYADIC_CHANNELS = (
+    ChannelParams(2, 3, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4)),
+    ChannelParams(2, 4, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), Fraction(1, 8)),
+)
+
+
+def _plain_products(weights, word):
+    """Per prefix length 1..n: (the product of its weights, multiplied in
+    site order, and whether every product so far is 0 or normal)."""
+    acc, normal, out = 1.0, True, []
+    for v in word:
+        acc *= weights[v]
+        normal = normal and (acc == 0 or acc >= TINY)
+        out.append((acc, normal))
+    return out
+
+
+def _plain_forward(params, word):
+    """Per prefix length 1..n: (a literal forward loop's mass on the float
+    model, whose dens are 1.0, and whether every product and sum the loop
+    formed for it, its closing sum included, is 0 or normal)."""
+    init, mats, _, _ = params._forward_model
+    a, normal, out = list(init), True, []
+    for v in word:
+        m = mats[v]
+        terms = [m[j] * a[j % 3] for j in range(9)]
+        heads = [terms[3 * t] + terms[3 * t + 1] for t in range(3)]
+        a = [heads[t] + terms[3 * t + 2] for t in range(3)]
+        head = a[0] + a[1]
+        total = head + a[2]
+        normal = normal and all(x == 0 or x >= TINY for x in terms + heads + a)
+        out.append((total, normal and all(x == 0 or x >= TINY for x in (head, total))))
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["bernoulli", "channel"]), a=st.integers(1, 8),
+       q=st.integers(8, 12), n=st.integers(1, 800), seed=st.integers(0, 1000))
+@example(kind="bernoulli", a=1, q=8, n=800, seed=3)
+@example(kind="channel", a=1, q=8, n=800, seed=3)
+def test_float_prob_keeps_the_plain_loops_bits_while_it_stays_normal(kind, a, q, n, seed):
+    """A float prob closes a rescaled fold.  Where every product and sum of
+    the plain loop stays 0 or normal, it has that loop's bits; elsewhere it
+    lies within 2^-1074 + n 2^-53 exact of the exact twin's value, exact,
+    on the same numbers.  Each 800-symbol word is checked at n, at the last
+    prefix whose plain loop stays normal, and at a few prefixes from there
+    to the first whose plain loop reaches 0."""
+    rng = random.Random(seed)
+    if kind == "bernoulli":
+        alphabet = Alphabet((0, 1, 2))
+        small = Fraction(1, 2 * q)
+        ws = [float(w) for w in (Fraction(a, q + 1), 1 - Fraction(a, q + 1) - small, small)]
+        nu, word = BernoulliMeasure(alphabet, ws), tuple(rng.randrange(3) for _ in range(800))
+        plain = _plain_products(ws, word)
+
+        def exact(k):
+            ratios = [ws[v].as_integer_ratio() for v in word[:k]]
+            return Fraction(math.prod(r[0] for r in ratios), math.prod(r[1] for r in ratios))
+    else:
+        twin = DYADIC_CHANNELS[a % 2]
+        params = ChannelParams(twin.d, twin.k, tuple(map(float, twin.p)), float(twin.eps))
+        nu, word = BitShiftMeasure(params), tuple(simulate(twin, 800, Rng(seed)).tolist())
+        alphabet, plain = nu.alphabet, _plain_forward(params, word)
+
+        def exact(k):
+            return cylinder_prob(twin, word[:k])
+    last = max((k for k, (_, ok) in enumerate(plain, 1) if ok), default=0)
+    zero = next((k for k, (v, _) in enumerate(plain, 1) if k > last and v == 0), 800)
+    for k in sorted({n, last, *range(last + 1, zero + 1, 1 + (zero - last) // 4)} - {0}):
+        got = nu.prob(config(alphabet, seed - k, word[:k]))
+        value, normal = plain[k - 1]
+        if normal:
+            assert got.hex() == value.hex(), k
+        else:
+            want = exact(k)
+            assert abs(Fraction(got) - want) <= Fraction(2) ** -1074 + k * want / 2 ** 53, k

@@ -145,6 +145,31 @@ def test_density_ratio_averages_to_one():
     assert total == 1
 
 
+@pytest.mark.parametrize("nu_weights, mu_weights, word", [
+    ((0.01, 0.99), (0.5, 0.5), (0,) * 170),    # nu's cylinder underflows first
+    ((0.5, 0.5), (0.25, 0.75), (0, 1) * 600),  # both cylinders underflow
+])
+def test_float_density_ratio_stays_finite_where_its_cylinders_underflow(
+        nu_weights, mu_weights, word):
+    # the exact twins read each weight as the decimal it is written as
+    cfg = config(BINARY, 0, word)
+    got = density_ratio(*(BernoulliMeasure(BINARY, ws) for ws in (nu_weights, mu_weights)), cfg)
+    want = density_ratio(*(BernoulliMeasure(BINARY, [Fraction(str(w)) for w in ws])
+                           for ws in (nu_weights, mu_weights)), cfg)
+    assert type(got) is float and type(want) is Fraction
+    assert abs(Fraction(got) - want) <= 1e-12 * want
+
+
+def test_density_ratio_of_exact_and_float_measures_is_the_float_quotient():
+    exact = BernoulliMeasure(BINARY, (Fraction(1, 3), Fraction(2, 3)))
+    rough = BernoulliMeasure(BINARY, (0.3, 0.7))
+    for nu, mu in ((exact, rough), (rough, exact)):
+        for word in itertools.product((0, 1), repeat=5):
+            cfg = config(BINARY, 0, word)
+            got, want = density_ratio(nu, mu, cfg), nu.prob(cfg) / mu.prob(cfg)
+            assert type(got) is type(want) is float and got.hex() == want.hex()
+
+
 # ------------------------------------------------------------- tv identity
 
 def test_tv_identity_zero_for_equal_measures():
