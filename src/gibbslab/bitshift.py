@@ -548,14 +548,14 @@ def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEs
         raise ValueError("need n >= 1 and samples >= 2")
     import numpy as np
     init, mats = params._float_model
-    flat = mats.reshape(-1, 9).T  # flat[:, y]: the row-major matrix of each symbol in y
+    flat = mats.reshape(-1, 9).T  # column s: the row-major matrix of symbol s
     batch = 2048
     vals = []
     for task, start in enumerate(range(0, samples, batch)):
         count = min(batch, samples - start)
         y = _simulate(params, n, count, rng.task_generator(task))
         alpha = tuple(np.full(count, a) for a in init)
-        logp = _forward(alpha, (flat[:, col] for col in y.T), np.log)[1]
+        logp = _forward(alpha, (flat.take(col, axis=1) for col in y.T), np.log)[1]
         vals.append(-logp / n)
     v = np.concatenate(vals)
     return SmbEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples)),
@@ -615,8 +615,6 @@ def capacity_search(d: int, k: int, eps: Prob, grid: int = 8, refine: int = 3,
 
     # zero weights leave input symbols unused; skip them
     interior = [p for p in _simplex_grid(parts, grid) if all(w > 0 for w in p)]
-    if not interior:
-        raise ValueError("grid too coarse: no interior point")
     best = min(((p, evaluate(p)) for p in interior), key=rank)
     step = Fraction(1, grid)
     for _ in range(refine):

@@ -305,45 +305,21 @@ def binary_config(values: Sequence[int] | str, lo: int = 0,
     return config(BINARY, lo, values, tail)
 
 
-def glue(inner: Configuration, middle: Configuration | None,
-         outer: Configuration | Tail) -> Configuration:
-    """Concatenate configurations on adjacent windows into one.
-
-    `middle` may be None (empty).  `outer` may be a plain Tail value, meaning
-    the glued configuration just adopts that tail convention past `inner` and
-    `middle`.  Windows must be pairwise disjoint with a contiguous union; the
-    result's tail is the rightmost piece's.
-    """
-    pieces = [p for p in (inner, middle) if p is not None]
-    tail_override: Tail | None = None
-    if isinstance(outer, Tail):
-        tail_override = outer
-    elif isinstance(outer, Configuration):
-        pieces.append(outer)
-    else:
-        raise TypeError("outer must be a Configuration or a Tail")
-    if not pieces:
-        raise ValueError("nothing to glue")
-    alphabet = pieces[0].alphabet
-    for p in pieces[1:]:
-        if p.alphabet != alphabet:
-            raise ValueError("alphabet mismatch between glued pieces")
-    pieces.sort(key=lambda p: p.window.lo)
-    for a, b in zip(pieces, pieces[1:]):
-        if a.window.hi >= b.window.lo:
-            raise ValueError(
-                f"windows overlap: [{a.window.lo},{a.window.hi}] and "
-                f"[{b.window.lo},{b.window.hi}]")
-        if a.window.hi + 1 != b.window.lo:
-            raise ValueError(
-                f"gap between windows: [{a.window.lo},{a.window.hi}] and "
-                f"[{b.window.lo},{b.window.hi}]")
-    values: list[int] = []
-    for p in pieces:
-        values.extend(p.values)
-    tail = tail_override if tail_override is not None else pieces[-1].tail
-    win = Window(pieces[0].window.lo, pieces[-1].window.hi)
-    return Configuration(alphabet, win, tuple(values), tail)
+def glue(left: Configuration, right: Configuration) -> Configuration:
+    """Join two configurations on adjacent windows, over one alphabet, into
+    one on the union of their windows.  They may come in either order; the
+    joined configuration takes the right-hand piece's tail."""
+    if left.alphabet != right.alphabet:
+        raise ValueError("alphabet mismatch between glued pieces")
+    if right.window.lo < left.window.lo:
+        left, right = right, left
+    a, b = left.window, right.window
+    if a.hi >= b.lo:
+        raise ValueError(f"windows overlap: [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
+    if a.hi + 1 != b.lo:
+        raise ValueError(f"gap between windows: [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
+    return Configuration(left.alphabet, Window(a.lo, b.hi), left.values + right.values,
+                         right.tail)
 
 
 def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
@@ -577,8 +553,7 @@ def conditional_prob(provider: MeasureProvider, target: Configuration,
     """P(target | given) for adjacent cylinders, as P(target and given)/P(given),
     from one rescaled fold of the provider's walker along each cylinder, so
     a float conditional stays finite where both cylinders underflow."""
-    joint = glue(target, None, given) if target.window.lo < given.window.lo \
-        else glue(given, None, target)
+    joint = glue(target, given)
     provider.check_config(given)
     g = _cylinder_fold(provider, given.window.lo, given.values)(given.window.hi)
     j = _cylinder_fold(provider, joint.window.lo, joint.values)(joint.window.hi)

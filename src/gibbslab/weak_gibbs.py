@@ -324,6 +324,10 @@ class FiniteVolumeMeasure(MeasureProvider):
         if params.m > cap:
             raise EnumerationCapError(
                 f"volume [0,{params.m}] exceeds cap m <= {cap}")
+        if mode == "float" and params.m > 1022:  # the sigma_0 = 0 branch alone weighs 2^m
+            raise EnumerationCapError(
+                f"float volume [0,{params.m}] exceeds m <= 1022, past which its "
+                "weights overflow a double; use rational mode")
         if mode == "rational" and not params.exact:
             raise ValueError("rational mode requires a rational rho")
         self.params = params

@@ -17,6 +17,7 @@ from gibbslab import (
     BernoulliMeasure,
     BitShiftMeasure,
     ChannelParams,
+    Configuration,
     Rng,
     Tail,
     Window,
@@ -49,6 +50,17 @@ def test_as_prob_rejects_bool_and_out_of_range_is_not_checked_here():
     # range checks live with the consumers; bool is rejected outright
     with pytest.raises(TypeError):
         as_prob(True)
+
+
+def test_as_prob_rejects_a_non_number():
+    with pytest.raises(TypeError, match=r"cannot interpret None as a probability"):
+        as_prob(None)
+
+
+def test_parse_prob_falls_back_to_float_for_inf():
+    # Fraction("inf") is a ValueError; the float reading takes over
+    assert parse_prob("inf") == math.inf
+    assert isinstance(parse_prob("inf"), float)
 
 
 def test_rational_round_trip_through_text():
@@ -125,6 +137,11 @@ def test_zero_fill_requires_zero_in_alphabet():
         config(Alphabet((2, 3)), 0, [2, 3], tail=Tail.ZERO_FILL)
 
 
+def test_config_rejects_a_value_count_other_than_the_window_size():
+    with pytest.raises(ValueError, match=r"^2 values for window of size 3$"):
+        Configuration(BINARY, Window(0, 2), (0, 1))
+
+
 def test_restrict_interior_drops_the_tail():
     om = binary_config("010101")
     sub = om.restrict(2, 4)
@@ -144,39 +161,24 @@ def test_restrict_past_the_edge_keeps_zero_fill():
 def test_glue_concatenates_adjacent_pieces():
     left = binary_config("10")
     right = config(BINARY, 2, (1, 1), tail=Tail.UNSPECIFIED)
-    out = glue(left, None, right)
+    out = glue(left, right)
     assert out.values == (1, 0, 1, 1)
     assert out.tail is Tail.UNSPECIFIED  # rightmost piece decides the tail
-
-
-def test_glue_three_pieces_with_middle():
-    a = binary_config("1", tail=Tail.UNSPECIFIED)
-    b = binary_config("00", lo=1, tail=Tail.UNSPECIFIED)
-    c = binary_config("1", lo=3)
-    out = glue(a, b, c)
-    assert out.values == (1, 0, 0, 1)
-    assert out.tail is Tail.ZERO_FILL
-
-
-def test_glue_with_tail_sentinel():
-    left = binary_config("1", tail=Tail.UNSPECIFIED)
-    out = glue(left, None, Tail.ZERO_FILL)
-    assert out.value_at(0) == 1 and out.value_at(50) == 0
 
 
 def test_glue_rejects_overlap_and_gap():
     a = binary_config("11")
     with pytest.raises(ValueError):
-        glue(a, None, binary_config("00", lo=1))
+        glue(a, binary_config("00", lo=1))
     with pytest.raises(ValueError):
-        glue(a, None, binary_config("0", lo=4))
+        glue(a, binary_config("0", lo=4))
 
 
 def test_glue_rejects_alphabet_mismatch():
     a = binary_config("1")
     b = config(Alphabet((0, 1, 2)), 1, [2])
     with pytest.raises(ValueError):
-        glue(a, None, b)
+        glue(a, b)
 
 
 # ----------------------------------------------------------- Bernoulli
@@ -306,6 +308,11 @@ def test_table_measure_requires_full_coverage_and_some_mass():
         TableMeasure(BINARY, Window(0, 1), {(0, 0): Fraction(1)})
     with pytest.raises(ValueError):
         TableMeasure(BINARY, Window(0, 0), {(0,): Fraction(0), (1,): Fraction(0)})
+
+
+def test_table_measure_rejects_a_negative_weight():
+    with pytest.raises(ValueError, match=r"^negative weight$"):
+        TableMeasure(BINARY, Window(0, 0), {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
 
 
 def test_table_measure_rejects_window_outside_support():

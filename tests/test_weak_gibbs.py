@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gibbslab import (
     BINARY,
+    Alphabet,
     EnumerationCapError,
     FiniteVolumeMeasure,
     InteractionParams,
@@ -118,6 +119,11 @@ def test_interaction_long_runs_are_killed():
         assert interaction_term(HALF, om, n) == 0
 
 
+def test_interaction_rejects_a_negative_n():
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        interaction_term(HALF, binary_config("101"), -1)
+
+
 def test_origin_term_is_identically_zero():
     assert interaction_term(HALF, binary_config("1"), 0) == 0
     assert interaction_term(HALF, binary_config("0"), 0) == 0
@@ -219,6 +225,36 @@ def test_tail_bound_rejects_in_window_violations():
         hamiltonian_tail_bound(p, om, 0)
 
 
+def test_tail_bound_needs_site_zero():
+    om = config(BINARY, 1, (1, 0), tail=Tail.UNSPECIFIED)
+    with pytest.raises(ValueError,
+                       match=r"^tail bound needs a configuration starting at site 0$"):
+        hamiltonian_tail_bound(HALF, om, 1)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(rho=RHOS, bits=st.lists(st.integers(0, 1), min_size=5, max_size=7),
+       above=st.integers(1, 2), extra=st.integers(1, 3))
+@example(rho=Fraction(1, 2), bits=[0, 0, 0, 1, 1], above=2, extra=1)
+def test_tail_bound_with_n_prime_past_the_window_and_the_depth(rho, bits, above, extra):
+    # Every term U(2k) with q <= k < n' may be as large as 1, since the tail
+    # may hit B_k there, where q is the first k past both the window and the
+    # depth.  The bound still holds against every tail through site top that
+    # hits no B_k with k >= n'.
+    p = InteractionParams(rho, 4)
+    vals = (1,) + tuple(bits)
+    hi = len(vals) - 1
+    n_prime = max(hi // 2 + 1, p.m // 2 + 1) + above
+    bound = hamiltonian_tail_bound(p, config(BINARY, 0, vals, tail=Tail.UNSPECIFIED), n_prime)
+    top = 2 * n_prime + extra
+    for ext in itertools.product((0, 1), repeat=top - hi):
+        full = binary_config(vals + ext)
+        if any(in_bad_set(full, k) for k in range(n_prime, top // 2 + 1)):
+            continue
+        terms = [interaction_term(p, full, k) for k in range(p.m // 2 + 1, top // 2 + 1)]
+        assert sum(terms) <= bound, (ext, terms, bound)
+
+
 # ------------------------------------------------------------------ kernel
 
 def test_kernel_all_zeros_tail_is_a_fair_flip():
@@ -262,6 +298,12 @@ def test_kernel_validation():
         single_site_kernel(HALF, 2, binary_config("0", lo=1))
     with pytest.raises(ValueError):
         single_site_kernel(HALF, 1, binary_config("0", lo=0))
+
+
+def test_kernel_rejects_a_non_binary_tail():
+    tail = config(Alphabet((0, 1, 2)), 1, (1, 2))
+    with pytest.raises(ValueError, match=r"^tail must be a binary configuration$"):
+        single_site_kernel(HALF, 1, tail)
 
 
 # ----------------------------------------------------------- finite volume
@@ -338,6 +380,19 @@ def test_volume_event_prob_validation():
         mu.event_prob({9: 1})
     with pytest.raises(ValueError):
         mu.event_prob({0: 2})
+
+
+@pytest.mark.parametrize("m", [1024, 1030])
+def test_float_volume_past_the_double_range_is_rejected(m):
+    # the sigma_0 = 0 branch alone weighs 2^m: at m = 1024 the total was
+    # inf and every query read 0.0, at m = 1030 they read NaN
+    with pytest.raises(EnumerationCapError, match=r"float volume \[0,\d+\] exceeds m <= 1022"):
+        FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), m), "float", cap=2000)
+
+
+def test_float_volume_at_the_double_range_limit_is_normalized():
+    mu = FiniteVolumeMeasure(InteractionParams(Fraction(1, 2), 1022), "float", cap=2000)
+    assert abs(sum(mu.distribution(Window(0, 1)).values()) - 1.0) <= 1e-12
 
 
 # ----------------------------------------------------------------- bad sets
@@ -532,6 +587,11 @@ def test_sampled_fractions_need_a_sample(samples):
         bad_set_frequency(4, samples, Rng(3))
     with pytest.raises(ValueError, match="samples"):
         bad_tail_fraction(HALF, binary_config("10", lo=1), 0.1, 2, samples, Rng(9))
+
+
+def test_tail_fraction_needs_a_tail_site():
+    with pytest.raises(ValueError, match=r"^tail_depth must be >= 1$"):
+        bad_tail_fraction(HALF, binary_config("10", lo=1), 0.1, 2, 4, Rng(9), tail_depth=0)
 
 
 # ------------------------------------------------------- enumerated radius
