@@ -413,8 +413,6 @@ def _run_wg_converge(cfg, mode, seed):
         comments = [f"converged={str(res.converged).lower()}"]
         if res.limit is not None:
             comments.append(f"limit={_fmt(res.limit, None)}")
-        if res.failed_at is not None:
-            comments.append(f"failed_at={res.failed_at}")
         rows = list(zip(res.ns, res.values))
         return "csv", comments, ["n", "conditional"], rows
     eta = binary_config(cfg["eta"], lo=1)
@@ -680,6 +678,8 @@ def main(argv=None) -> int:
         return _fail(1, "invalid-config", str(e))
     except EnumerationCapError as e:
         return _fail(2, "cap-exceeded", str(e))
+    except MemoryError as e:  # numpy refused an array too large to allocate
+        return _fail(2, "cap-exceeded", f"MemoryError: {e}")
     except (ZeroProbabilityError, OverflowError, ZeroDivisionError, FloatingPointError) as e:
         return _fail(3, "numeric-failure", f"{type(e).__name__}: {e}")
     except (ValueError, TypeError, KeyError) as e:

@@ -109,10 +109,10 @@ def integer_scaled(values: Sequence[Prob], exact: bool) -> tuple[list, int | flo
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def _left_sum(values: Iterable) -> Prob:
-    """0 + v0 + v1 + ..., added left to right as sum() adds on Python 3.11.
+def _left_sum(values: Iterable, start=0) -> Prob:
+    """start + v0 + v1 + ..., added left to right as sum() adds on Python 3.11.
     From 3.12 sum() compensates float additions, which rounds differently."""
-    return reduce(operator.add, values, 0)
+    return reduce(operator.add, values, start)
 
 
 def scaled_quotient(num: int | float, den: int | float) -> Prob:

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from .core import (
     BINARY,
@@ -523,9 +523,8 @@ def glued_convergence_table(params: InteractionParams, omega: Configuration,
         z = stop[n]
         _, _, energy, past, _ = _scan(own, params, depth, state, z)
         k_energy, k_past = marks[z]
-        # a left fold, not sum(), which compensates float additions from Python 3.12
-        energy = reduce(operator.add, energy_terms[k_energy:], energy)
-        past = reduce(operator.add, past_terms[k_past:], past)
+        energy = _left_sum(energy_terms[k_energy:], energy)
+        past = _left_sum(past_terms[k_past:], past)
         cur1, cur_radius = _bracket(params, energy, past)
         rows[n] = GluedRow(n, _sup_diff(cur1, ref1), cur_radius + ref_radius)
     return tuple(rows[n] for n in n_list)
@@ -599,9 +598,11 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
     tail's kernel only on its final (energy, past) pair.  So the head
     (1,) + prefix is scanned once, and the set of distinct (run, energy,
     past) states is stepped through sites n+1..m, each state to both
-    symbols.  States merge only when equal, and equal states receive the
-    same additions in the same site order, so every leaf carries the float
-    bits its tails' own scans would; the max is taken over distinct leaves.
+    symbols: a 0 ends the run and adds nothing, and a 1 resumes _scan from
+    the state (the head starts with 1, so every term counts).  States merge
+    only when equal, and equal states receive the same additions in the
+    same site order, so every leaf carries the float bits its tails' own
+    scans would; the max is taken over distinct leaves.
     """
     _check_tail(prefix, "prefix")
     n = prefix.window.hi
@@ -613,21 +614,13 @@ def kernel_radius_enumerated(params: InteractionParams, prefix: Configuration,
     _, run, energy, past, _ = _scan(head, params, params.m)  # the zero-filled prefix
     ref1, ref_radius = _bracket(params, energy, past)
     ref0 = 1.0 - ref1
-    weight, _, _ = params._weights
-    depth, rho = params.m, params.rho
+    ones = (1,) * (m + 1)  # every 1-branch steps a 1 at its site through _scan
     states = {(run, energy, past)}
     for i in range(n + 1, m + 1):
-        half = i >> 1
         step = set()
         for run, energy, past in states:
             step.add((0, energy, past))
-            run += 1
-            if i & 1 or run > half:
-                step.add((run, energy, past))
-            elif i <= depth:
-                step.add((run, energy + weight[half - run], past))
-            else:
-                step.add((run, energy, past + _rho_pow(rho, half - run)))
+            step.add(_scan(ones, params, params.m, (i - 1, run, energy, past, 0), i)[1:4])
         states = step
     # the leaves hold the zero-filled prefix itself (the empty tail if m == n,
     # else the all-zero tail), so each max is at least 2 * ref_radius

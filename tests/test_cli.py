@@ -192,6 +192,28 @@ def test_bernoulli_provider_with_fraction_strings(tmp_path, capsys):
     assert len(rows) == 3
 
 
+INFINITE_PAIR = {"nu": {"kind": "fair_coin"},
+                 "mu": {"kind": "bernoulli", "alphabet": [0, 1], "weights": ["1", "0"]}}
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "3"]])
+def test_infinite_density_prints_inf(tmp_path, capsys, precision):
+    # mu gives the word 1 no mass, so nu's relative entropy to it is infinite
+    cfg = write_cfg(tmp_path, "c.json", {"experiment": "density", **INFINITE_PAIR, "n_max": 1})
+    code, out, _ = invoke(capsys, ["relent", "--config", cfg, *precision])
+    assert code == 0
+    assert out.splitlines()[-1] == "1,inf,inf"
+
+
+def test_infinite_window_value_is_the_string_inf(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"experiment": "window", **INFINITE_PAIR,
+                                         "window": {"lo": 0, "hi": 1}})
+    code, out, _ = invoke(capsys, ["relent", "--config", cfg])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["value_nats"], result["infinite"]) == ("inf", True)
+
+
 def test_precision_flag_trims_float_columns(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {**STD_CHANNEL, "experiment": "bounds", "n_max": 3})
@@ -275,6 +297,12 @@ def test_unreadable_and_malformed_config(tmp_path, capsys):
                  "invalid-config")
 
 
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys):
+    rec = expect_error(capsys, ["relent", "--config", write_cfg(tmp_path, "c.json", [])],
+                       1, "invalid-config")
+    assert rec["message"] == "config must be a JSON object"
+
+
 def test_schema_rejections(tmp_path, capsys):
     extra = write_cfg(tmp_path, "a.json",
                       {**STD_CHANNEL, "n_max": 3, "bogus": 1})
@@ -331,6 +359,20 @@ def test_capacity_grid_over_the_evaluation_cap_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"d": 2, "k": 5, "eps": "1/4", "grid": 1000000})
     rec = expect_error(capsys, ["bs-capacity", "--config", cfg], 2, "cap-exceeded")
     assert "over cap" in rec["message"]
+
+
+def test_an_allocation_numpy_refuses_exits_two(tmp_path, capsys):
+    # B_k for k = 10^15 spans 5 * 10^14 + 1 sites: 3.55 PiB of draws, past any
+    # 47-bit address space, so numpy raises MemoryError whatever the machine
+    dest = tmp_path / "never.csv"
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"experiment": "frequency", "k_list": [10 ** 15], "samples": 1})
+    got, out, err = invoke(capsys, ["wg-badsets", "--config", cfg, "--out", str(dest)])
+    assert (got, out, err.count("\n")) == (2, "", 1)
+    record = json.loads(err)
+    assert (record["error"], record["exit_code"]) == ("cap-exceeded", 2)
+    assert record["message"].startswith("MemoryError: ")
+    assert not dest.exists()
 
 
 def test_entropy_cap_can_be_lowered_but_not_raised(tmp_path, capsys):
