@@ -32,8 +32,8 @@ from .core import (
     MeasureProvider,
     Prob,
     Rng,
-    ZeroProbabilityError,
     _cylinder_fold,
+    _fold_log,
     _fold_quotient,
     _left_sum,
     _symbols,
@@ -44,7 +44,6 @@ from .core import (
     integer_scaled,
     is_exact,
     prefix_walk,
-    scaled_quotient,
     scaled_quotients,
 )
 
@@ -56,6 +55,7 @@ BLOCK_ENTROPY_CAP = 12
 CAPACITY_EVAL_CAP = 10_000  # entropy_bounds calls one capacity_search may make
 BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
+TINY = 2.0 ** -600  # a float forward vector whose sum falls below this is rescaled
 
 
 @dataclass(frozen=True)
@@ -186,48 +186,41 @@ def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
-def _forward(alpha: tuple, mats: Iterable, log=None, out=0.0) -> tuple[tuple, object]:
-    """(alpha, out) after stepping alpha through the row-major matrices mats
+def _forward(alpha: tuple, mats: Iterable, tiny: float) -> tuple[tuple, int]:
+    """(alpha, e) after stepping alpha through the row-major matrices mats
     of ChannelParams._forward_model, alpha'[t] = sum over s of m[t][s]
-    alpha[s].  With log set, each step divides the vector by its sum z and
-    adds log z to out, so long words do not underflow.  Runs on scalars (log
-    is math.log) and on arrays with one entry per sample (log is np.log)."""
+    alpha[s], the stepped vector being alpha 2^e: with tiny set (TINY, for a
+    float model) a vector whose sum falls below tiny is divided by the power
+    of two that brings its sum into [1, 2), and its exponent added to e."""
     a0, a1, a2 = alpha
-    if log is None:
-        for m0, m1, m2, m3, m4, m5, m6, m7, m8 in mats:
-            a0, a1, a2 = (m0 * a0 + m1 * a1 + m2 * a2,
-                          m3 * a0 + m4 * a1 + m5 * a2,
-                          m6 * a0 + m7 * a1 + m8 * a2)
-        return (a0, a1, a2), out
+    e = 0
     for m0, m1, m2, m3, m4, m5, m6, m7, m8 in mats:
         a0, a1, a2 = (m0 * a0 + m1 * a1 + m2 * a2,
                       m3 * a0 + m4 * a1 + m5 * a2,
                       m6 * a0 + m7 * a1 + m8 * a2)
-        z = a0 + a1 + a2
-        out += log(z)
-        a0, a1, a2 = a0 / z, a1 / z, a2 / z
-    return (a0, a1, a2), out
+        if tiny and a0 + a1 + a2 < tiny:
+            k = math.frexp(a0 + a1 + a2)[1] - 1
+            a0, a1, a2 = math.ldexp(a0, -k), math.ldexp(a1, -k), math.ldexp(a2, -k)
+            e += k
+    return (a0, a1, a2), e
+
+
+def _close(params: ChannelParams, word: Sequence[int]) -> tuple:
+    """(j, den, e), probability j 2^e / den, of BitShiftMeasure's fold."""
+    init, mats, den0, den = params._forward_model
+    exact = params.exact  # an exact vector's ints add faster through sum()
+    alpha, e = _forward(init, map(mats.__getitem__, word), 0 if exact else TINY)
+    return (sum if exact else _left_sum)(alpha), den0 * den ** len(word), e
 
 
 def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
-    """Output-cylinder probability via the three-state forward recursion."""
-    word = _check_word(params, y)
-    init, mats, den0, den = params._forward_model
-    alpha = _forward(init, map(mats.__getitem__, word))[0]
-    return scaled_quotient(_left_sum(alpha), den0 * den ** len(word))
+    """Output-cylinder probability, with BitShiftMeasure.prob's bits in both modes."""
+    return _fold_quotient(_close(params, _check_word(params, y)))
 
 
 def cylinder_log_prob(params: ChannelParams, y: Sequence[int]) -> float:
-    """log of the cylinder probability: _forward with math.log on the forward
-    model of cylinder_prob, after taking an exact model's integer scale off
-    as log den0 + n log den (after the first step the vector holds floats)."""
-    word = _check_word(params, y)
-    init, mats, den0, den = params._forward_model
-    try:
-        return _forward(init, map(mats.__getitem__, word), math.log,
-                        -math.log(den0) - len(word) * math.log(den))[1]
-    except ValueError:  # math.log(0): the word's mass died
-        raise ZeroProbabilityError("inadmissible output word") from None
+    """log cylinder_prob, with BitShiftMeasure.log_prob's bits: finite where it underflows."""
+    return _fold_log(_close(params, _check_word(params, y)), "output word")
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,7 @@ class BitShiftMeasure(MeasureProvider):
     def __init__(self, params: ChannelParams):
         self.params = params
         self.alphabet = Alphabet(params.output_symbols)
-        self.rescale = None if params.exact else _rescale
+        self._mats, self._tiny = params._forward_model[1], 0 if params.exact else TINY
         self.label = (f"bitshift(d={params.d},k={params.k},"
                       f"eps={format_prob(params.eps)})")
 
@@ -298,6 +291,7 @@ class BitShiftMeasure(MeasureProvider):
         its forward vector, dropped once it is zero, and close(hi) gives a
         word's numerator as the vector's sum over den0 * den^(hi - lo + 1)."""
         init, mats, den0, den = self.params._forward_model
+        leaf = sum if self.params.exact else _left_sum
 
         def step(alpha, y):  # one step of _forward
             m0, m1, m2, m3, m4, m5, m6, m7, m8 = mats[y]
@@ -307,7 +301,11 @@ class BitShiftMeasure(MeasureProvider):
                    m6 * a0 + m7 * a1 + m8 * a2)
             return nxt if nxt != (0, 0, 0) else None
 
-        return init, step, lambda hi: (_left_sum, den0 * den ** (hi - lo + 1))
+        return init, step, lambda hi: (leaf, den0 * den ** (hi - lo + 1))
+
+    def _fold(self, alpha: tuple, step, word: Sequence[int]) -> tuple:
+        """_forward along word, with a float model's lazy rescale."""
+        return _forward(alpha, map(self._mats.__getitem__, word), self._tiny)
 
 
 @dataclass(frozen=True)
@@ -320,16 +318,17 @@ class BadConfigRow:
 
 
 def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, ...]:
-    """Decay table for the conditional nu(0 | 2^n).
+    """Decay table for nu(0 | 2^n), the one-sided conditional of a 0 given
+    the run of n 2s to its right (2 and 3 must be inputs), from rescaled
+    folds along 2^n_max and [0, 2^n_max], finite in float mode past underflow.
 
-    Requires 2 and 3 in the input alphabet.  For eps > 1/3 the n * nu(0 | 2^n)
-    column stays bounded away from 0, the non-Gibbs signature, and
-    nu([2^n]) has the order of its lower bound n p2^(n-1) p3 eps^(n+1).  For
-    eps < 1/3 the conditional decays exponentially, by a factor of about
-    eps / (1 - 2 eps) per row, and the column goes to 0.
-
-    The rows close rescaled folds along 2^n_max and [0, 2^n_max], so the
-    conditional stays finite in float mode after both cylinders underflow.
+    For eps < 1/3 it decays exponentially, by about eps / (1 - 2 eps) per
+    row, and the n * nu(0 | 2^n) column goes to 0; for eps > 1/3 it decays
+    like 1/n, the column stays away from 0, and nu([2^n]) has the order of
+    its lower bound n p2^(n-1) p3 eps^(n+1).  Gibbsianity asks two-sided
+    questions, and the two-sided gap at 2^n (the law of y_0 given 2^n on
+    both sides, over boundary words) goes the other way: it stays away from
+    0 at eps <= 1/4 and fades like 1/n at eps = 2/5.
     """
     if not (params.d <= 2 <= params.k and params.d <= 3 <= params.k):
         raise ValueError("table needs symbols 2 and 3 in the input alphabet")
@@ -342,13 +341,6 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
         cond = _fold_quotient(j, r, nu.label)
         rows.append(BadConfigRow(n, _fold_quotient(j), _fold_quotient(r), cond, n * cond))
     return tuple(rows)
-
-
-def _rescale(alpha: tuple) -> tuple[tuple, int]:
-    """(alpha / 2^e, e) with (a0 + a1 + a2) / 2^e in [1, 2)."""
-    a0, a1, a2 = alpha
-    e = math.frexp(a0 + a1 + a2)[1] - 1
-    return (math.ldexp(a0, -e), math.ldexp(a1, -e), math.ldexp(a2, -e)), e
 
 
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
@@ -542,8 +534,8 @@ class SmbEstimate:
 
 def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEstimate:
     """Monte-Carlo entropy-rate estimate: mean of -(1/n) log nu(y) over
-    simulated words, drawn in deterministic per-task batches.  Each batch
-    runs cylinder_log_prob's _forward on the float model in column layout."""
+    simulated words, drawn in deterministic per-task batches.  Each batch steps
+    the float model in column layout, dividing by each sum z and adding log z."""
     if n < 1 or samples < 2:
         raise ValueError("need n >= 1 and samples >= 2")
     import numpy as np
@@ -554,8 +546,12 @@ def smb_estimate(params: ChannelParams, n: int, samples: int, rng: Rng) -> SmbEs
     for task, start in enumerate(range(0, samples, batch)):
         count = min(batch, samples - start)
         y = _simulate(params, n, count, rng.task_generator(task))
-        alpha = tuple(np.full(count, a) for a in init)
-        logp = _forward(alpha, (flat.take(col, axis=1) for col in y.T), np.log)[1]
+        a, logp = [np.full(count, v) for v in init], 0.0
+        for m in (flat.take(col, axis=1) for col in y.T):
+            a = [m[t] * a[0] + m[t + 1] * a[1] + m[t + 2] * a[2] for t in (0, 3, 6)]
+            z = a[0] + a[1] + a[2]
+            logp += np.log(z)
+            a = [v / z for v in a]
         vals.append(-logp / n)
     v = np.concatenate(vals)
     return SmbEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples)),

@@ -14,9 +14,9 @@ in its state.  `prob` folds the step along one word and closes once, a
 whole-window distribution walks it one site at a time, stepping each
 distinct state once (`prefix_walk`), and `regularity_probe` fetches one
 walker per fold, folds it once along a growing word and closes it at
-every n.  A float provider whose states can underflow also names a
-`rescale`, which every fold (`prob`, `log_prob`, `density_ratio` and the
-conditionals) applies after every step.
+every n.  Every cylinder fold (`prob`, `log_prob`, `density_ratio` and
+the conditionals) steps through the provider's `_fold`, which a float
+provider whose states can underflow overrides with a power-of-two rescale.
 """
 from __future__ import annotations
 
@@ -325,31 +325,23 @@ def glue(left: Configuration, right: Configuration) -> Configuration:
 def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
     """num(hi) -> (numerator, den, e) of the cylinder word[:hi - lo + 1] on
     [lo, hi], which has probability numerator * 2^e / den, for hi that never
-    decrease.  The provider's walker is fetched once, on the first call, and
-    its step folded along word once; each call checks its window against the
-    provider's support, steps the new sites (rescaling after each one with
-    the provider's rescale, if it has one) and closes with the leaf and den
-    of close(hi).  Every cylinder query folds here, so each one rescales."""
-    support = provider.support_window
-    rescale = provider.rescale
-    state = step = close = done = None  # done: the sites stepped so far
-    e = 0
+    decrease.  The walker is fetched once, on the first call; each call
+    checks its window against the provider's support, folds the new sites
+    with one provider._fold and closes with the leaf and den of close(hi)."""
+    support, fold = provider.support_window, provider._fold
+    state, step, close, done, e = None, None, None, 0, 0  # done: the sites stepped so far
 
     def num(hi: int):
         nonlocal state, step, close, done, e
         if support is not None and not support.lo <= lo <= hi <= support.hi:
             provider.check_window(Window(lo, hi))  # raises, naming both windows
-        if done is None:  # only a window that passed its check fetches the walker
+        if close is None:  # only a window that passed its check fetches the walker
             state, step, close = provider._walker(lo)
-            done = 0
-        while done <= hi - lo and state is not None:
-            state = step(state, word[done])
-            done += 1
-            if rescale and state is not None:
-                state, k = rescale(state)
-                e += k
+        n = hi - lo + 1
+        state, k = fold(state, step, word[done:n])
+        done, e = n, e + k
         leaf, den = close(hi)
-        return (0 if state is None else leaf(state)), den, e
+        return leaf(state), den, e
 
     return num
 
@@ -362,18 +354,29 @@ def _rescale(acc: float) -> tuple[float, int]:
     return math.ldexp(acc, -e), e
 
 
-def _fold_quotient(joint: tuple, given: tuple = (1, 1, 0), label: str = "") -> Prob:
+def _fold_quotient(joint: tuple, given: tuple | None = None, label: str = "") -> Prob:
     """P(joint) / P(given) from two _cylinder_fold closes (given defaults to
     the sure event): a lowest-terms Fraction for two int dens, else the
     quotient of the rescaled probabilities times 2^(e_joint - e_given), which
     stays finite where both underflow and has the plain quotient's bits where
     no step leaves the normal range.  ZeroProbabilityError if given has no mass."""
-    (j, den_j, e_j), (g, den_g, e_g) = joint, given
+    j, den_j, e_j = joint
+    if given is None:
+        return Fraction(j, den_j) if isinstance(den_j, int) else math.ldexp(j / den_j, e_j)
+    g, den_g, e_g = given
     if g == 0:
         raise ZeroProbabilityError(f"{label}: conditioning cylinder has probability zero")
     if isinstance(den_j, int) and isinstance(den_g, int):  # equal dens cancel
         return Fraction(j, g) if den_j == den_g else Fraction(j * den_g, g * den_j)
     return math.ldexp(j / den_j / (g / den_g), e_j - e_g)
+
+
+def _fold_log(close: tuple, label: str) -> float:
+    """log(j 2^e / den) of a _cylinder_fold close (j, den, e), on exact ints."""
+    j, den, e = close
+    if j == 0:
+        raise ZeroProbabilityError(f"{label}: zero-probability cylinder")
+    return math.log(j) - math.log(den) + e * math.log(2)
 
 
 class MeasureProvider:
@@ -383,17 +386,13 @@ class MeasureProvider:
     step, close)`, in the arithmetic their parameters were given in; `prob`,
     `log_prob`, `distribution` and `regularity_probe` all walk it.  How a
     provider rescales a state depends on its arithmetic, not on where a
-    walk starts, so it is the attribute `rescale`, not part of a walker.
+    walk starts, so it is the method `_fold`, not part of a walker.
     A provider with no `support_window` takes cylinders anywhere.
     """
 
     alphabet: Alphabet
     label: str
     support_window: Window | None = None
-    # rescale(state) is (state / 2^e, e), exact in the normal range, so a
-    # fold that rescales each step keeps a long word's mass finite; None for
-    # exact providers and float ones whose states stay far above 2^-1022
-    rescale = None
 
     def _walker(self, lo: int) -> tuple:
         """(start, step, close) for the words on windows [lo, hi].
@@ -415,6 +414,15 @@ class MeasureProvider:
         closes a growing window at each hi)."""
         raise NotImplementedError
 
+    def _fold(self, state, step, word: Sequence) -> tuple:
+        """(state, e) after stepping state along word, state 2^e being the
+        plain fold's state: here e = 0.  A provider whose step can drop a
+        prefix (return None) overrides it, and so does a float one whose
+        states can underflow, dividing them by powers of two."""
+        for s in word:
+            state = step(state, s)
+        return state, 0
+
     def prob(self, cfg: Configuration) -> Prob:
         """j * 2^e / den from one rescaled fold's close (j, den, e)."""
         self.check_config(cfg)
@@ -424,10 +432,8 @@ class MeasureProvider:
         """log(j * 2^e / den) from one rescaled fold's close (j, den, e), so
         a float word whose prob underflows keeps its finite log."""
         self.check_config(cfg)
-        j, den, e = _cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi)
-        if j == 0:
-            raise ZeroProbabilityError(f"{self.label}: zero-probability cylinder")
-        return math.log(j) - math.log(den) + e * math.log(2)
+        return _fold_log(_cylinder_fold(self, cfg.window.lo, cfg.values)(cfg.window.hi),
+                         self.label)
 
     def check_window(self, window: Window) -> None:
         if self.support_window is not None and not self.support_window.contains_window(window):
@@ -482,7 +488,6 @@ class BernoulliMeasure(MeasureProvider):
         self.alphabet = alphabet
         self.weights = {s: w for s, w in zip(alphabet.symbols, ws)}
         self.exact = all(is_exact(w) for w in ws)
-        self.rescale = None if self.exact else _rescale
         self.label = label or f"bernoulli{tuple(format_prob(w) for w in ws)}"
         nums, self._den = integer_scaled(ws, self.exact)
         self._nums = dict(zip(alphabet.symbols, nums))
@@ -494,6 +499,16 @@ class BernoulliMeasure(MeasureProvider):
         nums, den = self._nums, self._den
         return (den ** 0, lambda acc, s: acc * nums[s],
                 lambda hi: (lambda acc: acc, den ** (hi - lo + 1)))
+
+    def _fold(self, acc, step, word: Sequence) -> tuple:
+        """Float weights bring the product into [2^52, 2^53) after every step."""
+        if self.exact:
+            return super()._fold(acc, step, word)
+        e = 0
+        for s in word:
+            acc, k = _rescale(step(acc, s))
+            e += k
+        return acc, e
 
 
 def fair_coin() -> BernoulliMeasure:

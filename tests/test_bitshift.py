@@ -33,7 +33,7 @@ from gibbslab import (
 from gibbslab import bitshift
 from gibbslab.bitshift import (
     CAPACITY_EVAL_CAP, JITTER, _entropy_sweeps, _simulate, transition_matrices)
-from gibbslab.core import Configuration, Alphabet, binary_config, is_exact
+from gibbslab.core import Configuration, Alphabet, binary_config, config, is_exact
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
@@ -54,6 +54,10 @@ BENCH_CHANNELS = (
     ChannelParams(2, 4, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), Fraction(1, 8)),
     ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
 )
+
+# a word on the k = 4 float channel whose plain forward loop ends subnormal
+# (exact probability 9.5141770462e-313)
+SUBNORMAL_WORD = tuple(simulate(BENCH_CHANNELS[2], 800, Rng(0)).tolist()[:533])
 
 
 def quiet_channel() -> ChannelParams:
@@ -234,26 +238,24 @@ def _log_prob_or_none(params, word):
 
 def _literal_cylinder(params, word):
     """(prob, log prob) by a literal forward loop on the numbers of
-    _forward_model; log prob is None where the word's mass dies."""
+    _forward_model, which divides a float vector whose sum falls below
+    2^-600 by the power of two that brings its sum into [1, 2) and counts
+    the exponents in e; log prob is None where the word's mass dies."""
     init, mats, den0, den = params._forward_model
     n = len(word)
-    a = list(init)
-    for v in word:
-        m = mats[v]
-        a = [m[3 * t] * a[0] + m[3 * t + 1] * a[1] + m[3 * t + 2] * a[2] for t in range(3)]
-    total, scale = a[0] + a[1] + a[2], den0 * den ** n
-    prob = Fraction(total, scale) if params.exact else total / scale
-    log = -math.log(den0) - n * math.log(den)
-    a = list(init)
+    a, e = list(init), 0
     for v in word:
         m = mats[v]
         a = [m[3 * t] * a[0] + m[3 * t + 1] * a[1] + m[3 * t + 2] * a[2] for t in range(3)]
         z = a[0] + a[1] + a[2]
-        if z == 0:
-            return prob, None
-        log += math.log(z)
-        a = [a[0] / z, a[1] / z, a[2] / z]
-    return prob, log
+        if not params.exact and z < 2.0 ** -600:
+            k = math.frexp(z)[1] - 1
+            a, e = [math.ldexp(x, -k) for x in a], e + k
+    total, scale = a[0] + a[1] + a[2], den0 * den ** n
+    prob = Fraction(total, scale) if params.exact else math.ldexp(total / scale, e)
+    if total == 0:
+        return prob, None
+    return prob, math.log(total) - math.log(scale) + e * math.log(2)
 
 
 @st.composite
@@ -277,6 +279,7 @@ def channel_words(draw):
 @given(case=channel_words())
 @example(case=(STD_FLOAT, (2,) * 800))  # prob underflows a double, its log does not
 @example(case=(STD_FLOAT, (2, 0, 0)))   # the mass dies after the first step
+@example(case=(BENCH_CHANNELS[3], SUBNORMAL_WORD))  # the plain loop ends subnormal
 def test_cylinders_keep_the_literal_forward_loops_bits(case):
     params, word = case
     prob, log = _literal_cylinder(params, word)
@@ -293,6 +296,35 @@ def test_cylinders_keep_the_literal_forward_loops_bits(case):
     else:
         assert math.isfinite(log)
         assert cylinder_log_prob(params, word).hex() == log.hex()
+
+
+def test_cylinder_prob_has_probs_bits_where_the_plain_loop_ends_subnormal():
+    params, twin = BENCH_CHANNELS[3], BENCH_CHANNELS[2]
+    nu = BitShiftMeasure(params)
+    got = cylinder_prob(params, SUBNORMAL_WORD)
+    assert got.hex() == nu.prob(config(nu.alphabet, 0, SUBNORMAL_WORD)).hex()
+    assert got.hex() == float(cylinder_prob(twin, SUBNORMAL_WORD)).hex()
+    assert got.hex() == "0x0.0002cd6031514p-1022"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(params=st.sampled_from(BENCH_CHANNELS[1::2]), n=st.integers(20, 800),
+       seed=st.integers(0, 2**32 - 1))
+def test_float_log_prob_has_cylinder_log_probs_bits(params, n, seed):
+    word = tuple(simulate(params, n, Rng(seed)).tolist())
+    nu = BitShiftMeasure(params)
+    cfg = config(nu.alphabet, 1, word)
+    assert nu.log_prob(cfg).hex() == cylinder_log_prob(params, word).hex()
+    assert nu.prob(cfg).hex() == cylinder_prob(params, word).hex()
+
+
+def test_log_prob_of_a_word_that_rescales_many_times_tracks_the_exact_log():
+    params, twin = BENCH_CHANNELS[3], BENCH_CHANNELS[2]
+    word = tuple(simulate(twin, 4000, Rng(1)).tolist())
+    assert bitshift._close(params, word)[2] < -5 * 600  # at least five rescales
+    r = cylinder_prob(twin, word)
+    want = math.log(r.numerator) - math.log(r.denominator)
+    assert abs(cylinder_log_prob(params, word) - want) <= 1e-12 * abs(want)
 
 
 def test_log_prob_of_long_words_tracks_rational_mode(std_channel):
