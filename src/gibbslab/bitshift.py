@@ -55,7 +55,8 @@ BLOCK_ENTROPY_CAP = 12
 CAPACITY_EVAL_CAP = 10_000  # entropy_bounds calls one capacity_search may make
 BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
-TINY = 2.0 ** -600  # a float forward vector whose sum falls below this is rescaled
+TINY = 2.0 ** -64  # a float forward vector whose sum falls below this is rescaled
+_FOLD_MODE = {False: (TINY, _left_sum), True: (0, sum)}  # exact -> (tiny, leaf) of its folds
 
 
 @dataclass(frozen=True)
@@ -187,18 +188,17 @@ def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
 
 
 def _forward(alpha: tuple, mats: Iterable, tiny: float) -> tuple[tuple, int]:
-    """(alpha, e) after stepping alpha through the row-major matrices mats
-    of ChannelParams._forward_model, alpha'[t] = sum over s of m[t][s]
-    alpha[s], the stepped vector being alpha 2^e: with tiny set (TINY, for a
-    float model) a vector whose sum falls below tiny is divided by the power
-    of two that brings its sum into [1, 2), and its exponent added to e."""
+    """(alpha, e), alpha 2^e being alpha stepped through the row-major
+    matrices mats of ChannelParams._forward_model, alpha'[t] = sum over s of
+    m[t][s] alpha[s]; with tiny set, a vector whose sum falls below it is
+    divided by the power of two that brings the sum into [1, 2)."""
     a0, a1, a2 = alpha
     e = 0
     for m0, m1, m2, m3, m4, m5, m6, m7, m8 in mats:
         a0, a1, a2 = (m0 * a0 + m1 * a1 + m2 * a2,
                       m3 * a0 + m4 * a1 + m5 * a2,
                       m6 * a0 + m7 * a1 + m8 * a2)
-        if tiny and a0 + a1 + a2 < tiny:
+        if tiny and 0 < a0 + a1 + a2 < tiny:  # a dead vector stays zero
             k = math.frexp(a0 + a1 + a2)[1] - 1
             a0, a1, a2 = math.ldexp(a0, -k), math.ldexp(a1, -k), math.ldexp(a2, -k)
             e += k
@@ -208,9 +208,9 @@ def _forward(alpha: tuple, mats: Iterable, tiny: float) -> tuple[tuple, int]:
 def _close(params: ChannelParams, word: Sequence[int]) -> tuple:
     """(j, den, e), probability j 2^e / den, of BitShiftMeasure's fold."""
     init, mats, den0, den = params._forward_model
-    exact = params.exact  # an exact vector's ints add faster through sum()
-    alpha, e = _forward(init, map(mats.__getitem__, word), 0 if exact else TINY)
-    return (sum if exact else _left_sum)(alpha), den0 * den ** len(word), e
+    tiny, leaf = _FOLD_MODE[params.exact]
+    alpha, e = _forward(init, map(mats.__getitem__, word), tiny)
+    return leaf(alpha), den0 * den ** len(word), e
 
 
 def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
@@ -281,7 +281,7 @@ class BitShiftMeasure(MeasureProvider):
     def __init__(self, params: ChannelParams):
         self.params = params
         self.alphabet = Alphabet(params.output_symbols)
-        self._mats, self._tiny = params._forward_model[1], 0 if params.exact else TINY
+        self._mats, self._tiny = params._forward_model[1], _FOLD_MODE[params.exact][0]
         self.label = (f"bitshift(d={params.d},k={params.k},"
                       f"eps={format_prob(params.eps)})")
 
@@ -291,7 +291,7 @@ class BitShiftMeasure(MeasureProvider):
         its forward vector, dropped once it is zero, and close(hi) gives a
         word's numerator as the vector's sum over den0 * den^(hi - lo + 1)."""
         init, mats, den0, den = self.params._forward_model
-        leaf = sum if self.params.exact else _left_sum
+        leaf = _FOLD_MODE[self.params.exact][1]
 
         def step(alpha, y):  # one step of _forward
             m0, m1, m2, m3, m4, m5, m6, m7, m8 = mats[y]
@@ -303,9 +303,9 @@ class BitShiftMeasure(MeasureProvider):
 
         return init, step, lambda hi: (leaf, den0 * den ** (hi - lo + 1))
 
-    def _fold(self, alpha: tuple, step, word: Sequence[int]) -> tuple:
-        """_forward along word, with a float model's lazy rescale."""
-        return _forward(alpha, map(self._mats.__getitem__, word), self._tiny)
+    def _fold(self, alpha: tuple, step, word: Sequence[int], i: int, n: int) -> tuple:
+        """_forward along word[i:n], with a float model's lazy rescale."""
+        return _forward(alpha, map(self._mats.__getitem__, word[i:n]), self._tiny)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ whole-window distribution walks it one site at a time, stepping each
 distinct state once (`prefix_walk`), and `regularity_probe` fetches one
 walker per fold, folds it once along a growing word and closes it at
 every n.  Every cylinder fold (`prob`, `log_prob`, `density_ratio` and
-the conditionals) steps through the provider's `_fold`, which a float
-provider whose states can underflow overrides with a power-of-two rescale.
+the conditionals) steps through the provider's `_fold`, if it names one:
+a float provider whose states can underflow rescales them by powers of two.
 """
 from __future__ import annotations
 
@@ -326,8 +326,8 @@ def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
     """num(hi) -> (numerator, den, e) of the cylinder word[:hi - lo + 1] on
     [lo, hi], which has probability numerator * 2^e / den, for hi that never
     decrease.  The walker is fetched once, on the first call; each call
-    checks its window against the provider's support, folds the new sites
-    with one provider._fold and closes with the leaf and den of close(hi)."""
+    checks its window against the provider's support, steps the new sites
+    (with one provider._fold, if it has one) and closes with close(hi)."""
     support, fold = provider.support_window, provider._fold
     state, step, close, done, e = None, None, None, 0, 0  # done: the sites stepped so far
 
@@ -338,8 +338,13 @@ def _cylinder_fold(provider: MeasureProvider, lo: int, word: Sequence[int]):
         if close is None:  # only a window that passed its check fetches the walker
             state, step, close = provider._walker(lo)
         n = hi - lo + 1
-        state, k = fold(state, step, word[done:n])
-        done, e = n, e + k
+        if fold is None:  # inline, no call per close: regularity_probe adds one site each
+            while done < n:
+                state = step(state, word[done])
+                done += 1
+        else:
+            state, k = fold(state, step, word, done, n)
+            done, e = n, e + k
         leaf, den = close(hi)
         return leaf(state), den, e
 
@@ -386,13 +391,17 @@ class MeasureProvider:
     step, close)`, in the arithmetic their parameters were given in; `prob`,
     `log_prob`, `distribution` and `regularity_probe` all walk it.  How a
     provider rescales a state depends on its arithmetic, not on where a
-    walk starts, so it is the method `_fold`, not part of a walker.
+    walk starts, so it lives in the provider's `_fold`, not in a walker.
     A provider with no `support_window` takes cylinders anywhere.
     """
 
     alphabet: Alphabet
     label: str
     support_window: Window | None = None
+    # _fold(state, step, word, i, n) -> (state, e), state 2^e being state stepped
+    # along word[i:n]: a provider whose step can drop a prefix (return None) or
+    # whose float states can underflow defines it; None steps the walker plainly
+    _fold = None
 
     def _walker(self, lo: int) -> tuple:
         """(start, step, close) for the words on windows [lo, hi].
@@ -413,15 +422,6 @@ class MeasureProvider:
         that starts at lo (`regularity_probe` fetches it once per fold and
         closes a growing window at each hi)."""
         raise NotImplementedError
-
-    def _fold(self, state, step, word: Sequence) -> tuple:
-        """(state, e) after stepping state along word, state 2^e being the
-        plain fold's state: here e = 0.  A provider whose step can drop a
-        prefix (return None) overrides it, and so does a float one whose
-        states can underflow, dividing them by powers of two."""
-        for s in word:
-            state = step(state, s)
-        return state, 0
 
     def prob(self, cfg: Configuration) -> Prob:
         """j * 2^e / den from one rescaled fold's close (j, den, e)."""
@@ -500,14 +500,14 @@ class BernoulliMeasure(MeasureProvider):
         return (den ** 0, lambda acc, s: acc * nums[s],
                 lambda hi: (lambda acc: acc, den ** (hi - lo + 1)))
 
-    def _fold(self, acc, step, word: Sequence) -> tuple:
-        """Float weights bring the product into [2^52, 2^53) after every step."""
-        if self.exact:
-            return super()._fold(acc, step, word)
+    def _fold(self, acc, step, word: Sequence, i: int, n: int) -> tuple:
+        """The product along word[i:n]; float weights rescale it after every step."""
         e = 0
-        for s in word:
-            acc, k = _rescale(step(acc, s))
-            e += k
+        for s in word[i:n]:
+            acc = step(acc, s)
+            if not self.exact:
+                acc, k = _rescale(acc)
+                e += k
         return acc, e
 
 

@@ -21,6 +21,7 @@ from gibbslab import (
     block_distribution,
     block_entropy,
     capacity_search,
+    conditional_prob,
     cylinder_log_prob,
     cylinder_prob,
     entropy_bound_table,
@@ -239,8 +240,8 @@ def _log_prob_or_none(params, word):
 def _literal_cylinder(params, word):
     """(prob, log prob) by a literal forward loop on the numbers of
     _forward_model, which divides a float vector whose sum falls below
-    2^-600 by the power of two that brings its sum into [1, 2) and counts
-    the exponents in e; log prob is None where the word's mass dies."""
+    bitshift.TINY by the power of two that brings its sum into [1, 2) and
+    counts the exponents in e; log prob is None where the word's mass dies."""
     init, mats, den0, den = params._forward_model
     n = len(word)
     a, e = list(init), 0
@@ -248,7 +249,7 @@ def _literal_cylinder(params, word):
         m = mats[v]
         a = [m[3 * t] * a[0] + m[3 * t + 1] * a[1] + m[3 * t + 2] * a[2] for t in range(3)]
         z = a[0] + a[1] + a[2]
-        if not params.exact and z < 2.0 ** -600:
+        if not params.exact and 0 < z < bitshift.TINY:
             k = math.frexp(z)[1] - 1
             a, e = [math.ldexp(x, -k) for x in a], e + k
     total, scale = a[0] + a[1] + a[2], den0 * den ** n
@@ -321,10 +322,27 @@ def test_float_log_prob_has_cylinder_log_probs_bits(params, n, seed):
 def test_log_prob_of_a_word_that_rescales_many_times_tracks_the_exact_log():
     params, twin = BENCH_CHANNELS[3], BENCH_CHANNELS[2]
     word = tuple(simulate(twin, 4000, Rng(1)).tolist())
-    assert bitshift._close(params, word)[2] < -5 * 600  # at least five rescales
+    assert bitshift._close(params, word)[2] < -3000  # rescaled dozens of times
     r = cylinder_prob(twin, word)
     want = math.log(r.numerator) - math.log(r.denominator)
     assert abs(cylinder_log_prob(params, word) - want) <= 1e-12 * abs(want)
+
+
+def test_a_tiny_eps_step_after_a_long_prefix_keeps_its_mass():
+    # after 590 symbols the vector's sum is near 2^-590, and a final 4 (input
+    # 3, jitter -1 -> 0) multiplies it by about 2 eps p3 = 1e-150, near 2^-498:
+    # the fold must rescale long before the product leaves the normal range
+    params = ChannelParams(2, 3, (0.5, 0.5), 1e-150)
+    twin = ChannelParams(2, 3, HALF, Fraction(1e-150))
+    prefix = tuple(simulate(twin, 590, Rng(3)).tolist())
+    nu, exact = BitShiftMeasure(params), BitShiftMeasure(twin)
+    target, given = config(nu.alphabet, 590, (4,)), config(nu.alphabet, 0, prefix)
+    want = float(conditional_prob(exact, target, given))
+    assert abs(conditional_prob(nu, target, given) - want) <= 1e-12 * want
+    word = config(nu.alphabet, 0, prefix + (4,))
+    want = exact.log_prob(word)
+    assert abs(nu.log_prob(word) - want) <= 1e-12 * abs(want)
+    assert abs(cylinder_log_prob(params, prefix + (4,)) - want) <= 1e-12 * abs(want)
 
 
 def test_log_prob_of_long_words_tracks_rational_mode(std_channel):
