@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
@@ -44,7 +44,6 @@ from .core import (
     integer_scaled,
     is_exact,
     prefix_walk,
-    scaled_quotients,
 )
 
 if TYPE_CHECKING:
@@ -127,6 +126,10 @@ class ChannelParams:
                 den0, den)
 
     @cached_property
+    def _outputs(self) -> frozenset[int]:
+        return frozenset(self.output_symbols)
+
+    @cached_property
     def _support_masks(self) -> tuple[list, list]:
         """(nxt, pre) for is_admissible, built once per instance, every
         weight treated as positive: output y steps jitter state s to t when
@@ -181,7 +184,7 @@ def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
     word = _symbols(y, "output symbol")
     if not word:
         raise ValueError("empty output word")
-    if min(word) < 0 or max(word) > params.k + 2:
+    if not params._outputs.issuperset(word):
         bad = next(v for v in word if not 0 <= v <= params.k + 2)
         raise ValueError(f"output symbol {bad} outside 0..{params.k + 2}")
     return word
@@ -263,6 +266,7 @@ def simulate(params: ChannelParams, n: int, rng: Rng) -> np.ndarray:
 
 def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
     """count output words of length n, one per row, drawn from gen."""
+    Rng.check_draws(count, n + 1)
     import numpy as np
     pf = np.array([float(w) for w in params.p])
     x_cdf = np.cumsum(pf)
@@ -344,15 +348,29 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
 
 
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
-    """Exact distribution over admissible length-n output words, from one
-    walk that steps each distinct forward vector once and prunes zero ones."""
+    """Distribution over admissible length-n output words, from one walk that
+    steps each distinct forward vector once and prunes zero ones.  An exact
+    walk closes its last site with the integer column sums of each symbol's
+    matrix (the C1 of _sweep_sums); a float one steps it, as column sums
+    round differently."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > BLOCK_WORD_CAP:
         raise EnumerationCapError(f"block distribution capped at n <= {BLOCK_WORD_CAP}")
     start, step, close = BitShiftMeasure(params)._walker(1)
     leaf, den = close(n)
-    return scaled_quotients(prefix_walk(params.output_symbols, n, start, step, leaf), den)
+    if not params.exact:
+        return next(prefix_walk(params.output_symbols, n, start, step,
+                                {n: lambda alpha: leaf(alpha) / den}))
+    quotient = cache(lambda v: Fraction(v, den))  # one Fraction per distinct numerator
+    cols = [((y,), m[0] + m[3] + m[6], m[1] + m[4] + m[7], m[2] + m[5] + m[8])
+            for y, m in zip(params.output_symbols, params._forward_model[1])]
+
+    def last(alpha):
+        a0, a1, a2 = alpha
+        return [(s, quotient(v)) for s, c0, c1, c2 in cols if (v := c0 * a0 + c1 * a1 + c2 * a2)]
+
+    return next(prefix_walk(params.output_symbols, n, start, step, {}, last))
 
 
 def _neg_entropy_sum(w: np.ndarray) -> float:

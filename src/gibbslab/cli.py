@@ -430,10 +430,10 @@ def _run_wg_badsets(cfg, mode, seed):
             rows.append((k, est.value, est.stderr, 2.0 ** (-k / 2)))
         return "csv", [], ["k", "frequency", "stderr", "bound"], rows
     if exp == "correlation_hist":
-        gen = Rng(seed).generator()
         depth = cfg["depth"]
         counts: dict[int, int] = {}
-        bits = gen.integers(0, 2, size=(cfg["samples"], depth))
+        Rng.check_draws(cfg["samples"], depth)
+        bits = Rng(seed).generator().integers(0, 2, size=(cfg["samples"], depth))
         for row in bits:
             kk = wg.correlation_length(
                 config(BINARY, 1, tuple(int(b) for b in row), wg.Tail.ZERO_FILL))

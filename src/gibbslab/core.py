@@ -10,13 +10,13 @@ not by a global switch.  Each measure is one walker per first site lo
 that takes a prefix to its one-symbol extension, and a close that gives
 each window [lo, hi] its leaf and denominator.  The step is told nothing
 of where it is: a provider whose step depends on the site keeps the site
-in its state.  `prob` folds the step along one word and closes once, a
-whole-window distribution walks it one site at a time, stepping each
-distinct state once (`prefix_walk`), and `regularity_probe` fetches one
-walker per fold, folds it once along a growing word and closes it at
-every n.  Every cylinder fold (`prob`, `log_prob`, `density_ratio` and
-the conditionals) steps through the provider's `_fold`, if it names one:
-a float provider whose states can underflow rescales them by powers of two.
+in its state.  `prob` folds the step along one word and closes once, one
+walk steps each distinct state once per site and closes every window from
+lo it passes (`prefix_walk`), and `regularity_probe` fetches one walker
+per fold, folds it once along a growing word and closes it at every n.
+Every cylinder fold (`prob`, `log_prob`, `density_ratio` and the
+conditionals) steps through the provider's `_fold`, if it names one: a
+float provider whose states can underflow rescales them by powers of two.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ FLOAT_TOL = 1e-12
 
 # cap on the words one whole-window distribution may list
 WORD_CAP = 1 << 21
+DRAW_CAP = 1 << 28  # cap on the bytes one array of random draws may take
 
 
 class ZeroProbabilityError(ArithmeticError):
@@ -132,31 +133,39 @@ def scaled_quotients(nums: Mapping, den: int | float) -> dict:
     return {k: v / den for k, v in nums.items()}
 
 
-def prefix_walk(symbols: Sequence[int], n: int, start, step, leaf) -> dict:
-    """{word: leaf(state)} for the words of length n over symbols, in
-    lexicographic order, where a word's state is step(...step(start,
-    w[0])..., w[n - 1]).  A step that returns None drops that prefix and
-    all its extensions.
+def prefix_walk(symbols: Sequence[int], n: int, start, step, leaves: Mapping,
+                last=None) -> Iterator[dict]:
+    """Yield {word: leaves[l](state)} for each l in 1..n that leaves maps, in
+    order: the words of length l over symbols, lexicographic, where a word's
+    state is step(...step(start, w[0])..., w[l - 1]).  A step that returns
+    None drops that prefix and all its extensions.  last, if given, closes
+    the last site instead: last(state) lists ((s,), value) for the live
+    extensions of a state one site short.
 
     The walk goes one site at a time and numbers the distinct states at each
     site: step runs once per distinct state and symbol, each prefix carries
-    only its state's number, and leaf runs once per distinct final state.
-    States must be hashable, and states that compare equal must be
+    only its state's number, and a leaf runs once per distinct state of its
+    level.  States must be hashable, and states that compare equal must be
     interchangeable (same type and bits), since one stands for all."""
-    # moves[j] lists (suffix, number of the next state) for state j, here
-    # for the empty word's one state and below for each live symbol s, with
-    # suffix (s,).  level holds the (prefix, state number) pairs one site
-    # behind moves, so the last site's words go straight into the result.
-    states, level, moves = [start], [((), 0)], [[((), 0)]]
-    for _ in range(n):
-        level = [(word + s, k) for word, j in level for s, k in moves[j]]
+    states, level = [start], [((), 0)]  # level: (word, number of its state)
+    for l in range(1, n + 1):
+        if l == n and last is not None:  # close the states one site short
+            ends = list(map(last, states))
+            yield {word + s: v for word, j in level for s, v in ends[j]}
+            return
         ids: dict = {}
         moves = [[((s,), ids.setdefault(nxt, len(ids))) for s in symbols
                   if (nxt := step(state, s)) is not None]
                  for state in states]
         states = list(ids)
-    leaves = [leaf(state) for state in states]
-    return {word + s: leaves[k] for word, j in level for s, k in moves[j]}
+        if l == n:  # the last level's words go straight into the result
+            values = list(map(leaves[n], states))
+            yield {word + s: values[k] for word, j in level for s, k in moves[j]}
+            return
+        level = [(word + s, k) for word, j in level for s, k in moves[j]]
+        if l in leaves:
+            values = list(map(leaves[l], states))
+            yield {word: values[k] for word, k in level}
 
 
 def format_prob(x: Prob) -> str:
@@ -180,7 +189,7 @@ def _symbols(values: Iterable, what: str = "symbol") -> tuple[int, ...]:
     such as 2.0 read as ints, and anything else (a bool, a str, 2.5) is a
     TypeError that names it.  A word of plain ints needs no per-symbol pass."""
     word = tuple(values)
-    if set(map(type, word)) <= {int}:
+    if {int}.issuperset(map(type, word)):
         return word
     for v in word:
         if not (isinstance(v, float) and v.is_integer() or (
@@ -450,27 +459,32 @@ class MeasureProvider:
         """All words over the alphabet on the given window, lexicographic."""
         yield from itertools.product(self.alphabet.symbols, repeat=window.size)
 
-    def _scaled_distribution(self, window: Window) -> tuple[dict, int | float]:
-        """(nums, den) after the WORD_CAP and support checks: every word on the
-        window, lexicographic, mapped to the numerator over den of its
-        unrescaled fold (`prob`'s bits wherever every state stays normal),
-        from one walk that steps each distinct state once per site; a
-        dropped prefix's words list 0."""
-        n_words = len(self.alphabet) ** window.size
-        if n_words > WORD_CAP:
+    def _check_words(self, window: Window) -> None:
+        """The WORD_CAP and support checks of a whole-window distribution."""
+        if len(self.alphabet) ** window.size > WORD_CAP:
             raise EnumerationCapError(
                 f"{len(self.alphabet)}^{window.size} words exceeds the cap")
         self.check_window(window)
-        start, step, close = self._walker(window.lo)
-        leaf, den = close(window.hi)
-        nums = prefix_walk(self.alphabet.symbols, window.size, start, step, leaf)
-        if len(nums) < n_words:
-            nums = {w: nums.get(w, 0) for w in self.words(window)}
-        return nums, den
+
+    def _scaled_levels(self, lo: int, first: int, n: int) -> Iterator[tuple[dict, int | float]]:
+        """(nums, den) for each window [lo, lo + l - 1], l = first..n, from one
+        walk closing level l with close(lo + l - 1): every word on the window,
+        lexicographic, mapped to the numerator over den of its unrescaled fold
+        (`prob`'s bits wherever every state stays normal); a dropped prefix's
+        words list 0.  The caller checks each window first (_check_words)."""
+        start, step, close = self._walker(lo)
+        closes = {l: close(lo + l - 1) for l in range(first, n + 1)}
+        walk = prefix_walk(self.alphabet.symbols, n, start, step,
+                           {l: leaf for l, (leaf, _) in closes.items()})
+        for (l, (_, den)), nums in zip(closes.items(), walk):
+            if len(nums) < len(self.alphabet) ** l:
+                nums = {w: nums.get(w, 0) for w in self.words(Window(lo, lo + l - 1))}
+            yield nums, den
 
     def distribution(self, window: Window) -> dict[tuple[int, ...], Prob]:
         """Full cylinder distribution on the window, zero entries included."""
-        return scaled_quotients(*self._scaled_distribution(window))
+        self._check_words(window)
+        return scaled_quotients(*next(self._scaled_levels(window.lo, window.size, window.size)))
 
 
 class BernoulliMeasure(MeasureProvider):
@@ -676,3 +690,10 @@ class Rng:
         import numpy as np
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((self.seed, self.stream, task))))
+
+    @staticmethod
+    def check_draws(rows: int, cols: int) -> None:
+        """EnumerationCapError, before any draw, if rows x cols 8-byte draws pass DRAW_CAP."""
+        if 8 * rows * cols > DRAW_CAP:
+            raise EnumerationCapError(f"{rows} x {cols} random draws need {8 * rows * cols} "
+                                      f"bytes, over the cap of {DRAW_CAP}")

@@ -66,39 +66,46 @@ def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[li
     return list(map(lshift, odd.tolist(), (exp - low).clip(0).tolist())), 1 << -low
 
 
-def _scaled_pair(nu: MeasureProvider, mu: MeasureProvider, window: Window):
-    """(words, p, a, q, b, exact): the window's words, and the probabilities
-    `distribution` lists for them as int numerators, nu's p over a and mu's q
-    over b.  `_scaled_distribution` lists all the window's words in
-    lexicographic order, so p and q line up with words.  Callers build one
+def _scaled_pairs(nu: MeasureProvider, mu: MeasureProvider, lo: int, first: int, n: int):
+    """Yield (words, p, a, q, b, exact) for each window [lo, lo + l - 1],
+    l = first..n, from one walk of each measure: the window's words in
+    lexicographic order, and the probabilities `distribution` lists for them
+    as int numerators, nu's p over a and mu's q over b.  Callers build one
     Fraction per rest word, not per word.  exact says whether both measures
-    are exact."""
+    are exact.  Every window is checked, nu's then mu's, before either walk
+    starts, so an error names the first window a window-by-window run fails."""
     if nu.alphabet != mu.alphabet:
         raise ValueError(f"{nu.label} and {mu.label} have different alphabets: "
                          f"{nu.alphabet.symbols} and {mu.alphabet.symbols}")
-    p, a = nu._scaled_distribution(window)
-    q, b = mu._scaled_distribution(window)
-    exact = isinstance(a, int) and isinstance(b, int)
-    return (list(p), *_int_numerators(p.values(), a), *_int_numerators(q.values(), b), exact)
+    for l in range(first, n + 1):
+        nu._check_words(Window(lo, lo + l - 1))
+        mu._check_words(Window(lo, lo + l - 1))
+    for (p, a), (q, b) in zip(nu._scaled_levels(lo, first, n), mu._scaled_levels(lo, first, n)):
+        yield (list(p), *_int_numerators(p.values(), a), *_int_numerators(q.values(), b),
+               isinstance(a, int) and isinstance(b, int))
+
+
+def _relents(nu: MeasureProvider, mu: MeasureProvider, lo: int, first: int, n: int):
+    """Yield sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0, for
+    each _scaled_pairs window, or math.inf where nu charges a word mu does
+    not.  Equal measures give exactly 0.0: each term is a log of exactly 1.0."""
+    for _, p, a, q, b, _ in _scaled_pairs(nu, mu, lo, first, n):
+        terms = []
+        for x, y in zip(p, q):
+            if x and not y:
+                terms = [math.inf]
+                break
+            if x:  # int / int rounds once, as float() of the Fraction it stands for does
+                terms.append(x / a * math.log((x * b) / (y * a)))
+        value = math.fsum(terms)
+        yield 0.0 if -1e-9 < value < 0.0 else value  # roundoff under Gibbs' inequality
 
 
 def window_relative_entropy(nu: MeasureProvider, mu: MeasureProvider,
                             window: Window) -> RelEntReport:
-    """sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0.  Equal
-    measures give exactly 0.0: each term is a log of exactly 1.0."""
-    _, p, a, q, b, _ = _scaled_pair(nu, mu, window)
-    terms = []
-    for x, y in zip(p, q):
-        if x == 0:
-            continue
-        if y == 0:
-            return RelEntReport(window, math.inf, True)
-        # int / int rounds once, as float() of the Fraction it stands for does
-        terms.append(x / a * math.log((x * b) / (y * a)))
-    value = math.fsum(terms)
-    if -1e-9 < value < 0.0:
-        value = 0.0  # roundoff on a sum that is nonnegative by Gibbs' inequality
-    return RelEntReport(window, value, False)
+    """sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0 (_relents)."""
+    value, = _relents(nu, mu, window.lo, window.size, window.size)
+    return RelEntReport(window, value, value == math.inf)
 
 
 @dataclass(frozen=True)
@@ -110,17 +117,14 @@ class DensityRow:
 
 def relative_entropy_density(nu: MeasureProvider, mu: MeasureProvider,
                              n_max: int, lo: int = 1) -> tuple[DensityRow, ...]:
-    """Normalized sequence H_[lo, lo+n-1](nu|mu) / n for n = 1..n_max.
+    """Normalized sequence H_[lo, lo+n-1](nu|mu) / n for n = 1..n_max, every
+    window closed on one walk of each measure out to the last.
 
     The table is the deliverable; whether it converges is the reader's call.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        rep = window_relative_entropy(nu, mu, Window(lo, lo + n - 1))
-        rows.append(DensityRow(n, rep.value, rep.value / n))
-    return tuple(rows)
+    return tuple(DensityRow(n, v, v / n) for n, v in enumerate(_relents(nu, mu, lo, 1, n_max), 1))
 
 
 def density_ratio(nu: MeasureProvider, mu: MeasureProvider,
@@ -201,7 +205,7 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     the identity itself.
     """
     rest_ix = _rest_positions(delta, lam)
-    words, p, a, q, b, exact = _scaled_pair(nu, mu, delta)
+    words, p, a, q, b, exact = next(_scaled_pairs(nu, mu, delta.lo, delta.size, delta.size))
     if any(x != 0 and y == 0 for x, y in zip(p, q)):
         raise ZeroProbabilityError(
             "identity needs nu absolutely continuous w.r.t. mu on delta")
@@ -226,16 +230,15 @@ def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     For measures that agree as conditional families the gaps vanish; the
     nu-weighted mean per n is the headline column.  Conditioning words with
     zero nu-mass carry no weight and are skipped; zero mu-mass under positive
-    nu-mass is an absolute-continuity failure and raises.
+    nu-mass is an absolute-continuity failure and raises.  Every window
+    [lam.lo, n] is closed on one walk of each measure out to n_max.
     """
     if n_max <= lam.hi:
         raise ValueError("n_max must exceed lam.hi")
     rows = []
-    for n in range(lam.hi + 1, n_max + 1):
-        delta = Window(lam.lo, n)
-        rest_ix = _rest_positions(delta, lam)
-        words, p, a, q, b, _ = _scaled_pair(nu, mu, delta)
-        groups = _rest_groups(words, p, q, rest_ix)
+    pairs = _scaled_pairs(nu, mu, lam.lo, lam.size + 1, n_max - lam.lo + 1)
+    for n, (words, p, a, q, b, _) in zip(range(lam.hi + 1, n_max + 1), pairs):
+        groups = _rest_groups(words, p, q, _rest_positions(Window(lam.lo, n), lam))
         uncovered = any(a_r and not b_r for a_r, b_r, _ in groups)
         gaps = [(g_r, a_r, b_r) for a_r, b_r, g_r in groups if a_r and b_r]
         mean = _mean_gap(groups, a)

@@ -579,8 +579,8 @@ def bad_set_frequency(k: int, samples: int, rng: Rng) -> FractionEstimate:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     width = 2 * k - 3 * k // 2 + 1
-    gen = rng.generator()
-    bits = gen.integers(0, 2, size=(samples, width))
+    Rng.check_draws(samples, width)
+    bits = rng.generator().integers(0, 2, size=(samples, width))
     hits = int(bits.all(axis=1).sum())
     f = hits / samples
     return FractionEstimate(f, math.sqrt(f * (1 - f) / samples), samples)

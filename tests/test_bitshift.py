@@ -34,7 +34,8 @@ from gibbslab import (
 from gibbslab import bitshift
 from gibbslab.bitshift import (
     CAPACITY_EVAL_CAP, JITTER, _entropy_sweeps, _simulate, transition_matrices)
-from gibbslab.core import Configuration, Alphabet, binary_config, config, is_exact
+from gibbslab.core import (
+    DRAW_CAP, Configuration, Alphabet, binary_config, config, is_exact)
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
@@ -435,6 +436,85 @@ def test_block_distribution_caps(std_channel):
         block_distribution(std_channel, 9)
     with pytest.raises(ValueError):
         block_distribution(std_channel, 0)
+
+
+def _literal_block_distribution(params, n):
+    """{word: p} over the length-n words whose forward vector never vanishes,
+    lexicographic, each vector stepped from its prefix's as BitShiftMeasure's
+    walker steps it: an exact vector's sum over den0 den^n, or a float one's
+    summed left to right over 1.0."""
+    init, mats, den0, den = params._forward_model
+    total, out = den0 * den ** n, {}
+
+    def visit(word, a):
+        if len(word) == n:
+            out[word] = Fraction(sum(a), total) if params.exact else (a[0] + a[1] + a[2]) / total
+            return
+        for y in params.output_symbols:
+            m = mats[y]
+            b = (m[0] * a[0] + m[1] * a[1] + m[2] * a[2],
+                 m[3] * a[0] + m[4] * a[1] + m[5] * a[2],
+                 m[6] * a[0] + m[7] * a[1] + m[8] * a[2])
+            if b != (0, 0, 0):
+                visit(word + (y,), b)
+
+    visit((), init)
+    return out
+
+
+@pytest.mark.parametrize("params", BENCH_CHANNELS, ids=["a", "a-float", "b", "b-float"])
+def test_block_distribution_is_the_literal_forward_loop(params):
+    # keys and order, exact values with one Fraction per distinct value, and
+    # float values to the bit (the exact walk's last site is column sums)
+    for n in range(1, 7):
+        got, want = block_distribution(params, n), _literal_block_distribution(params, n)
+        assert list(got) == list(want)
+        if params.exact:
+            assert list(got.values()) == list(want.values())
+            assert {type(v) for v in got.values()} == {Fraction}
+            assert len({id(v) for v in got.values()}) == len(set(got.values()))
+        else:
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def test_check_word_is_the_literal_rule(std_channel):
+    """_check_word's fast path for int words keeps every result, error type
+    and message of the rule it replaced: a type test per symbol, then the
+    empty word, then the first symbol outside 0..k+2."""
+    def literal(y):
+        word = tuple(y)
+        for v in word:
+            if not (isinstance(v, float) and v.is_integer() or (
+                    isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)))):
+                raise TypeError(f"output symbol {v!r} is not an integer")
+        word = tuple(map(int, word))
+        if not word:
+            raise ValueError("empty output word")
+        if min(word) < 0 or max(word) > 5:
+            bad = next(v for v in word if not 0 <= v <= 5)
+            raise ValueError(f"output symbol {bad} outside 0..5")
+        return word
+
+    symbols = [-1, 0, 2, 5, 6, 9, 3.0, -2.0, 2.5, True, np.int64(4), np.int64(7)]
+    words = [()] + [w for n in (1, 2, 3) for w in itertools.product(symbols, repeat=n)]
+    for word in words:
+        try:
+            want = literal(word)
+        except (TypeError, ValueError) as e:
+            with pytest.raises(type(e)) as err:
+                bitshift._check_word(std_channel, word)
+            assert str(err.value) == str(e)
+        else:
+            got = bitshift._check_word(std_channel, list(word))
+            assert got == want and {type(v) for v in got} <= {int}
+
+
+def test_draws_stop_at_the_byte_cap(std_channel):
+    Rng.check_draws(1, DRAW_CAP // 8)  # exactly at the cap
+    with pytest.raises(EnumerationCapError, match=f"over the cap of {DRAW_CAP}$"):
+        Rng.check_draws(1, DRAW_CAP // 8 + 1)
+    with pytest.raises(EnumerationCapError, match="^1 x 33554433 random draws"):
+        simulate(std_channel, DRAW_CAP // 8, Rng(0))  # one word of n + 1 jitters
 
 
 def test_measure_provider_wraps_the_channel(std_channel):

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from gibbslab import ChannelParams, Rng, entropy_levels
+from gibbslab import weak_gibbs as wg
 from gibbslab.cli import SCHEMAS, SUBCOMMANDS, _JSON_TYPES, _violation, build_parser, main
+from gibbslab.core import DRAW_CAP
 
 
 def write_cfg(tmp_path, name, payload):
@@ -361,18 +363,58 @@ def test_capacity_grid_over_the_evaluation_cap_exits_two(tmp_path, capsys):
     assert "over cap" in rec["message"]
 
 
-def test_an_allocation_numpy_refuses_exits_two(tmp_path, capsys):
-    # B_k for k = 10^15 spans 5 * 10^14 + 1 sites: 3.55 PiB of draws, past any
-    # 47-bit address space, so numpy raises MemoryError whatever the machine
+def test_an_allocation_numpy_refuses_exits_two(tmp_path, capsys, monkeypatch):
+    # the draw cap stops every config-sized draw first, so numpy's refusal
+    # of an allocation is raised here in its own words
+    def refuse(k, samples, rng):
+        raise MemoryError("Unable to allocate 3.55 PiB for an array with shape "
+                          "(1, 500000000000001) and data type int64")
+
+    monkeypatch.setattr(wg, "bad_set_frequency", refuse)
     dest = tmp_path / "never.csv"
     cfg = write_cfg(tmp_path, "c.json",
-                    {"experiment": "frequency", "k_list": [10 ** 15], "samples": 1})
+                    {"experiment": "frequency", "k_list": [4], "samples": 1})
     got, out, err = invoke(capsys, ["wg-badsets", "--config", cfg, "--out", str(dest)])
     assert (got, out, err.count("\n")) == (2, "", 1)
     record = json.loads(err)
     assert (record["error"], record["exit_code"]) == ("cap-exceeded", 2)
-    assert record["message"].startswith("MemoryError: ")
+    assert record["message"].startswith("MemoryError: Unable to allocate")
     assert not dest.exists()
+
+
+class _NoDraws:
+    """A generator that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"drew with {name} past the draw cap")
+
+
+@pytest.mark.parametrize("sub, payload, shape", [
+    # B_k at k = 10^15 spans 5 * 10^14 + 1 sites: 3.55 PiB of draws
+    ("wg-badsets", {"experiment": "frequency", "k_list": [10 ** 15], "samples": 1},
+     (1, 5 * 10 ** 14 + 1)),
+    # B_4 spans 3 sites, so 11,184,811 samples is the first count past 2^28 bytes
+    ("wg-badsets", {"experiment": "frequency", "k_list": [4], "samples": 11_184_811},
+     (11_184_811, 3)),
+    ("wg-badsets", {"experiment": "correlation_hist", "samples": 4_194_305, "depth": 8},
+     (4_194_305, 8)),
+    # a batch of 2048 words of n = 16384 symbols draws 2048 x 16385 jitters
+    ("bs-entropy", {**STD_CHANNEL, "experiment": "smb", "n": 16384, "samples": 4096},
+     (2048, 16385)),
+], ids=["frequency-huge", "frequency", "correlation_hist", "smb"])
+def test_draw_arrays_over_the_byte_cap_exit_two_before_any_draw(
+        tmp_path, capsys, monkeypatch, sub, payload, shape):
+    monkeypatch.setattr(Rng, "generator", lambda self: _NoDraws())
+    monkeypatch.setattr(Rng, "task_generator", lambda self, task: _NoDraws())
+    dest = tmp_path / "never.csv"
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    for mode in ("rational", "float"):
+        rec = expect_error(capsys, [sub, "--config", cfg, "--mode", mode, "--out", str(dest)],
+                           2, "cap-exceeded")
+        rows, cols = shape
+        assert rec["message"] == (f"{rows} x {cols} random draws need {8 * rows * cols} "
+                                  f"bytes, over the cap of {DRAW_CAP}")
+        assert not dest.exists()
 
 
 def test_entropy_cap_can_be_lowered_but_not_raised(tmp_path, capsys):

@@ -439,29 +439,42 @@ def test_prefix_walk_steps_each_distinct_state_once_per_symbol():
         return None if nxt is None else (i + 1, nxt)
 
     def leaf(state):
-        leaves[state[1]] += 1
+        leaves[state] += 1
         return 10 * state[1]
 
-    # the literal fold of every word, keeping the live states at each site
-    live, reached = {}, [set() for _ in range(n + 1)]
+    # the literal fold of every word, keeping the live words and states at each site
+    live, reached = [{} for _ in range(n + 1)], [set() for _ in range(n + 1)]
     for word in itertools.product(symbols, repeat=n):
         state = 0
         for i, s in enumerate(word):
             reached[i].add(state)
             if (state := fold(i, state, s)) is None:
                 break
+            live[i + 1][word[:i + 1]] = 10 * state
         else:
             reached[n].add(state)
-            live[word] = 10 * state
 
-    got = prefix_walk(symbols, n, (0, 0), step, leaf)
-    assert list(got.items()) == list(live.items())  # lexicographic, dead words absent
-    assert len(reached[n]) < len(got) < len(symbols) ** n  # states merge, words drop
+    levels = [2, 3, n]
+    got = list(prefix_walk(symbols, n, (0, 0), step, dict.fromkeys(levels, leaf)))
+    # each level lexicographic, dead words absent
+    assert [list(d.items()) for d in got] == [list(live[l].items()) for l in levels]
+    assert len(reached[n]) < len(got[-1]) < len(symbols) ** n  # states merge, words drop
     assert set(steps.values()) == {1}
     for i in range(n):
         assert {(j, state) for j, state, _ in steps if j == i} == {(i, x) for x in reached[i]}
     assert sum(steps.values()) == len(symbols) * sum(map(len, reached[:n]))
-    assert leaves == Counter(reached[n])
+    assert leaves == Counter((l, x) for l in levels for x in reached[l])
+
+    # last closes the states one site short without stepping them
+    steps.clear()
+
+    def last(state):
+        i, x = state
+        return [((s,), 10 * nxt) for s in symbols if (nxt := fold(i, x, s)) is not None]
+
+    closed, = prefix_walk(symbols, n, (0, 0), step, {}, last)
+    assert list(closed.items()) == list(live[n].items())
+    assert {j for j, _, _ in steps} == set(range(n - 1)) and set(steps.values()) == {1}
 
 
 def test_scaled_quotients_build_one_fraction_per_distinct_numerator():

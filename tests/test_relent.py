@@ -266,6 +266,85 @@ def test_gap_probe_validation():
         conditional_gap_probe(fair_coin(), DEFICIENT, Window(0, 0), 2)
 
 
+# --------------------------------------------- one walk per relent sequence
+
+def _sequence_pair(case):
+    """(nu, mu, n_max) with every window [lo, lo + n_max - 1], lo <= 2, in
+    both supports; the channel drops the prefixes holding 00, whose words
+    are zero-filled, and against its marginals it is not absolutely
+    continuous the other way round."""
+    fvol = FiniteVolumeMeasure(InteractionParams(0.5, 8), "float")
+    channel = BitShiftMeasure(ChannelParams(2, 3, (Fraction(1, 2),) * 2, Fraction(1, 4)))
+    fchannel = BitShiftMeasure(ChannelParams(2, 3, (0.5, 0.5), 0.25))
+    return {
+        "volume": (small_volume(8), fair_coin(), 6),
+        "float-volume": (fvol, BernoulliMeasure(BINARY, (0.25, 0.75)), 6),
+        "skew-volume": (SKEW, small_volume(8), 6),
+        "channel": (channel, _marginals(channel), 4),
+        "float-channel": (fchannel, _marginals(fchannel), 4),
+        "marginals-channel": (_marginals(fchannel), fchannel, 4),
+    }[case]
+
+
+@pytest.mark.parametrize("lo", [0, 2])
+@pytest.mark.parametrize("case", ["volume", "float-volume", "skew-volume", "channel",
+                                  "float-channel", "marginals-channel"])
+def test_sequence_rows_are_the_per_window_results(case, lo):
+    nu, mu, n_max = _sequence_pair(case)
+    hi = lo + n_max - 1
+    for r in relative_entropy_density(nu, mu, n_max, lo=lo):
+        value = window_relative_entropy(nu, mu, Window(lo, lo + r.n - 1)).value
+        assert (r.window_value.hex(), r.per_site.hex()) == (value.hex(), (value / r.n).hex())
+    for lam in (Window(lo, lo), Window(lo, lo + 1)):
+        try:
+            alone = [conditional_gap_probe(nu, mu, lam, n)[-1] for n in range(lam.hi + 1, hi + 1)]
+        except ZeroProbabilityError:
+            with pytest.raises(ZeroProbabilityError):
+                conditional_gap_probe(nu, mu, lam, hi)
+            continue
+        rows = conditional_gap_probe(nu, mu, lam, hi)
+        assert [(r.n, r.conditioned_on) for r in rows] == [(r.n, r.conditioned_on) for r in alone]
+        for r, want in zip(rows, alone, strict=True):
+            assert (r.mean_gap.hex(), r.max_gap.hex()) == (want.mean_gap.hex(), want.max_gap.hex())
+            side = tv_identity_check(nu, mu, lam, Window(lam.lo, r.n)).lhs
+            assert r.mean_gap.hex() == float(side).hex()
+
+
+def test_a_sequence_past_a_cap_or_support_raises_before_walking(monkeypatch):
+    six, four = small_volume(6), small_volume(4)
+    outside = "{}: window [{},{}] outside supported [0,{}]"
+    cases = [  # the error of the first window a window-by-window run fails
+        (lambda: relative_entropy_density(fair_coin(), SKEW, 25),
+         EnumerationCapError, "2^22 words exceeds the cap"),
+        (lambda: conditional_gap_probe(SKEW, fair_coin(), Window(0, 1), 30),
+         EnumerationCapError, "2^22 words exceeds the cap"),
+        (lambda: relative_entropy_density(six, fair_coin(), 9),
+         ValueError, outside.format(six.label, 1, 7, 6)),
+        (lambda: relative_entropy_density(fair_coin(), six, 25),  # support before the cap
+         ValueError, outside.format(six.label, 1, 7, 6)),
+        (lambda: relative_entropy_density(six, four, 9),  # mu's support before nu's
+         ValueError, outside.format(four.label, 1, 5, 4)),
+        (lambda: conditional_gap_probe(fair_coin(), six, Window(2, 3), 9),
+         ValueError, outside.format(six.label, 2, 7, 6)),
+    ]
+    for cls in (BernoulliMeasure, FiniteVolumeMeasure):
+        monkeypatch.setattr(cls, "_walker", lambda self, lo: pytest.fail("walked first"))
+    for call, kind, message in cases:
+        with pytest.raises(kind) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_an_uncovered_conditioning_word_raises_once_its_window_comes():
+    # mu gives the rest word 001 no mass on [0, 3]; the rows stop at n = 3
+    words = list(itertools.product((0, 1), repeat=4))
+    mu = TableMeasure(BINARY, Window(0, 3),
+                      {w: Fraction(w[1:] != (0, 0, 1)) for w in words})
+    assert [r.n for r in conditional_gap_probe(fair_coin(), mu, Window(0, 0), 2)] == [1, 2]
+    with pytest.raises(ZeroProbabilityError, match="mu puts no mass on a conditioning word"):
+        conditional_gap_probe(fair_coin(), mu, Window(0, 0), 3)
+
+
 # ------------------------------------------------------------- alphabets
 
 CHANNEL = BitShiftMeasure(ChannelParams(2, 3, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 4)))
