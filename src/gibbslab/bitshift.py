@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
@@ -55,7 +55,7 @@ CAPACITY_EVAL_CAP = 10_000  # entropy_bounds calls one capacity_search may make
 BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
 TINY = 2.0 ** -64  # a float forward vector whose sum falls below this is rescaled
-_FOLD_MODE = {False: (TINY, _left_sum), True: (0, sum)}  # exact -> (tiny, leaf) of its folds
+_LEAF = {False: _left_sum, True: sum}  # exact -> the sum that closes a forward vector
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,22 @@ class ChannelParams:
                 den0, den)
 
     @cached_property
+    def _kernel(self) -> tuple:
+        """(fold, step) of the forward recursion on _forward_model's
+        matrices, built on first use from the kernel compiled for their
+        zero patterns (_kernel_source), dense patterns first.
+        fold(alpha, ys) -> (alpha, e) steps alpha along the symbols ys,
+        alpha 2^e being the stepped vector: a float vector whose sum falls
+        below TINY is divided by the power of two that brings the sum into
+        [1, 2).  step(alpha, y) is alpha stepped by y, or None once it is zero."""
+        mats = self._forward_model[1]
+        masks = [sum(1 << j for j, v in enumerate(m) if v) for m in mats]
+        patterns = tuple(sorted(set(masks), key=lambda mask: (-mask.bit_count(), mask)))
+        ids = {mask: i for i, mask in enumerate(patterns)}
+        table = [(ids[mask], tuple(v for v in m if v)) for mask, m in zip(masks, mats)]
+        return _kernel_maker(patterns, self.exact)(table)
+
+    @cached_property
     def _outputs(self) -> frozenset[int]:
         return frozenset(self.output_symbols)
 
@@ -190,30 +206,74 @@ def _check_word(params: ChannelParams, y: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
-def _forward(alpha: tuple, mats: Iterable, tiny: float) -> tuple[tuple, int]:
-    """(alpha, e), alpha 2^e being alpha stepped through the row-major
-    matrices mats of ChannelParams._forward_model, alpha'[t] = sum over s of
-    m[t][s] alpha[s]; with tiny set, a vector whose sum falls below it is
-    divided by the power of two that brings the sum into [1, 2)."""
-    a0, a1, a2 = alpha
-    e = 0
-    for m0, m1, m2, m3, m4, m5, m6, m7, m8 in mats:
-        a0, a1, a2 = (m0 * a0 + m1 * a1 + m2 * a2,
-                      m3 * a0 + m4 * a1 + m5 * a2,
-                      m6 * a0 + m7 * a1 + m8 * a2)
-        if tiny and 0 < a0 + a1 + a2 < tiny:  # a dead vector stays zero
-            k = math.frexp(a0 + a1 + a2)[1] - 1
-            a0, a1, a2 = math.ldexp(a0, -k), math.ldexp(a1, -k), math.ldexp(a2, -k)
-            e += k
-    return (a0, a1, a2), e
+_KERNEL = """\
+def make(table):
+    def fold(alpha, ys):
+        a0, a1, a2 = alpha
+        e = 0
+        for i, m in map(table.__getitem__, ys):
+{fold_step}
+        return (a0, a1, a2), e
+
+    def step(alpha, y):
+        a0, a1, a2 = alpha
+        i, m = table[y]
+{step}
+        return (a0, a1, a2) if a0 or a1 or a2 else None
+
+    return fold, step
+"""
+
+# each entry is at most the rounded sum, so this is `0 < a0 + a1 + a2 < TINY`,
+# mostly decided by the first compare
+_RESCALE = [
+    "if a0 < TINY and a1 < TINY and a2 < TINY and 0 < a0 + a1 + a2 < TINY:",
+    "    k = frexp(a0 + a1 + a2)[1] - 1",
+    "    a0, a1, a2 = ldexp(a0, -k), ldexp(a1, -k), ldexp(a2, -k)",
+    "    e += k",
+]
+
+
+def _kernel_source(patterns: tuple[int, ...], exact: bool) -> str:
+    """Source of make(table) -> (fold, step), the forward recursion on
+    symbol matrices whose zero patterns are patterns: bit 3t + s of a
+    pattern is set where entry [t][s] is nonzero, and table[y] is
+    (i, (c...)) for the symbol of patterns[i], its nonzero entries in
+    row-major order.  Each row keeps only its nonzero terms, added left to
+    right; an omitted term is a +0 of the mode's type on a nonnegative
+    vector, so the bits are the dense loop's, and a row with no terms is
+    the mode's zero.  Only patterns and exact reach the text."""
+    lines = []
+    for i, mask in enumerate(patterns):
+        live = [j for j in range(9) if mask >> j & 1]
+        rows = [" + ".join(f"c{j} * a{j % 3}" for j in live if j // 3 == t)
+                or ("0" if exact else "0.0") for t in range(3)]
+        names = ", ".join(f"c{j}" for j in live) + "," * (len(live) == 1)
+        body = [f"{names} = m"] if live else []
+        body.append(f"a0, a1, a2 = {', '.join(rows)}")
+        # dispatch on the pattern id, dense patterns first; there are at least
+        # two: symbol 0 has no entry but [0][2], and y = x of a positive p(x) has [1][1]
+        last = i == len(patterns) - 1
+        lines.append("else:" if last else f"{'elif' if i else 'if'} i == {i}:")
+        lines += ["    " + line for line in body]
+    fold_step = lines if exact else lines + _RESCALE
+    return _KERNEL.format(fold_step="\n".join(" " * 12 + line for line in fold_step),
+                          step="\n".join(" " * 8 + line for line in lines))
+
+
+@lru_cache(maxsize=32)
+def _kernel_maker(patterns: tuple[int, ...], exact: bool):
+    """make of _kernel_source, compiled once per pattern set and mode."""
+    namespace = {"TINY": TINY, "frexp": math.frexp, "ldexp": math.ldexp}
+    exec(compile(_kernel_source(patterns, exact), "<bitshift kernel>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _close(params: ChannelParams, word: Sequence[int]) -> tuple:
     """(j, den, e), probability j 2^e / den, of BitShiftMeasure's fold."""
-    init, mats, den0, den = params._forward_model
-    tiny, leaf = _FOLD_MODE[params.exact]
-    alpha, e = _forward(init, map(mats.__getitem__, word), tiny)
-    return leaf(alpha), den0 * den ** len(word), e
+    init, _, den0, den = params._forward_model
+    alpha, e = params._kernel[0](init, word)
+    return _LEAF[params.exact](alpha), den0 * den ** len(word), e
 
 
 def cylinder_prob(params: ChannelParams, y: Sequence[int]) -> Prob:
@@ -285,31 +345,22 @@ class BitShiftMeasure(MeasureProvider):
     def __init__(self, params: ChannelParams):
         self.params = params
         self.alphabet = Alphabet(params.output_symbols)
-        self._mats, self._tiny = params._forward_model[1], _FOLD_MODE[params.exact][0]
         self.label = (f"bitshift(d={params.d},k={params.k},"
                       f"eps={format_prob(params.eps)})")
 
     def _walker(self, lo: int) -> tuple:
         """(start, step, close) of the forward recursion over output words
         on [lo, hi], on the numbers of cylinder_prob: a prefix's state is
-        its forward vector, dropped once it is zero, and close(hi) gives a
-        word's numerator as the vector's sum over den0 * den^(hi - lo + 1)."""
-        init, mats, den0, den = self.params._forward_model
-        leaf = _FOLD_MODE[self.params.exact][1]
-
-        def step(alpha, y):  # one step of _forward
-            m0, m1, m2, m3, m4, m5, m6, m7, m8 = mats[y]
-            a0, a1, a2 = alpha
-            nxt = (m0 * a0 + m1 * a1 + m2 * a2,
-                   m3 * a0 + m4 * a1 + m5 * a2,
-                   m6 * a0 + m7 * a1 + m8 * a2)
-            return nxt if nxt != (0, 0, 0) else None
-
-        return init, step, lambda hi: (leaf, den0 * den ** (hi - lo + 1))
+        its forward vector, dropped once it is zero (the kernel's step), and
+        close(hi) gives a word's numerator as the vector's sum over
+        den0 * den^(hi - lo + 1)."""
+        init, _, den0, den = self.params._forward_model
+        leaf = _LEAF[self.params.exact]
+        return init, self.params._kernel[1], lambda hi: (leaf, den0 * den ** (hi - lo + 1))
 
     def _fold(self, alpha: tuple, step, word: Sequence[int], i: int, n: int) -> tuple:
-        """_forward along word[i:n], with a float model's lazy rescale."""
-        return _forward(alpha, map(self._mats.__getitem__, word[i:n]), self._tiny)
+        """The kernel's fold along word[i:n], with a float model's lazy rescale."""
+        return self.params._kernel[0](alpha, word[i:n])
 
 
 @dataclass(frozen=True)
@@ -434,9 +485,10 @@ def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarr
             return
         for start in range(0, rows.shape[0], step_chunk):
             children = (rows[start:start + step_chunk] @ step).reshape(-1, 3)
-            w = children.sum(axis=1)
+            a0, a1, a2 = children.T  # column adds: an axis-1 sum of 3-wide rows costs ~12x
+            w = a0 + a1 + a2
             h[level] += _neg_entropy_sum(w)
-            live = (children > 0.0).sum(axis=1)
+            live = np.add(a0 > 0.0, a1 > 0.0, dtype=np.int8) + (a2 > 0.0)
             closed = w[live == 1]
             c[level + 1] += closed.sum()
             c_log_c[level + 1] += closed @ np.log(closed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, lshift
+from operator import lshift
 from typing import Iterable
 
 from .core import (
@@ -67,10 +67,10 @@ def _int_numerators(values: Iterable[int | float], den: int | float) -> tuple[li
 
 
 def _scaled_pairs(nu: MeasureProvider, mu: MeasureProvider, lo: int, first: int, n: int):
-    """Yield (words, p, a, q, b, exact) for each window [lo, lo + l - 1],
-    l = first..n, from one walk of each measure: the window's words in
-    lexicographic order, and the probabilities `distribution` lists for them
-    as int numerators, nu's p over a and mu's q over b.  Callers build one
+    """Yield (p, a, q, b, exact) for each window [lo, lo + l - 1], l =
+    first..n, from one walk of each measure: the probabilities
+    `distribution` lists for the window's words, in lexicographic order, as
+    int numerators, nu's p over a and mu's q over b.  Callers build one
     Fraction per rest word, not per word.  exact says whether both measures
     are exact.  Every window is checked, nu's then mu's, before either walk
     starts, so an error names the first window a window-by-window run fails."""
@@ -81,7 +81,7 @@ def _scaled_pairs(nu: MeasureProvider, mu: MeasureProvider, lo: int, first: int,
         nu._check_words(Window(lo, lo + l - 1))
         mu._check_words(Window(lo, lo + l - 1))
     for (p, a), (q, b) in zip(nu._scaled_levels(lo, first, n), mu._scaled_levels(lo, first, n)):
-        yield (list(p), *_int_numerators(p.values(), a), *_int_numerators(q.values(), b),
+        yield (*_int_numerators(p.values(), a), *_int_numerators(q.values(), b),
                isinstance(a, int) and isinstance(b, int))
 
 
@@ -89,7 +89,7 @@ def _relents(nu: MeasureProvider, mu: MeasureProvider, lo: int, first: int, n: i
     """Yield sum over words of nu(w) log(nu(w)/mu(w)), with 0 log 0 = 0, for
     each _scaled_pairs window, or math.inf where nu charges a word mu does
     not.  Equal measures give exactly 0.0: each term is a log of exactly 1.0."""
-    for _, p, a, q, b, _ in _scaled_pairs(nu, mu, lo, first, n):
+    for p, a, q, b, _ in _scaled_pairs(nu, mu, lo, first, n):
         terms = []
         for x, y in zip(p, q):
             if x and not y:
@@ -139,32 +139,35 @@ def density_ratio(nu: MeasureProvider, mu: MeasureProvider,
                           _cylinder_fold(mu, lo, cfg.values)(hi), mu.label)
 
 
-def _rest_positions(delta: Window, lam: Window) -> list[int]:
-    """Offsets within delta of the coordinates outside lam."""
+def _lam_layout(delta: Window, lam: Window, symbols: int) -> tuple[int, int]:
+    """(inner, stride) of lam inside delta, for delta's words listed in
+    lexicographic order over an alphabet of that many symbols: the inner =
+    |A|^|lam| words that share one rest word (their symbols outside lam) lie
+    stride = |A|^(sites right of lam) apart, within one block of
+    inner * stride words."""
     if not delta.contains_window(lam):
         raise ValueError("lam must sit inside delta")
-    rest_ix = [j for j in range(delta.size) if j + delta.lo not in lam]
-    if not rest_ix:
+    if lam.size == delta.size:
         raise ValueError("lam must be a proper subset of delta")
-    return rest_ix
+    return symbols ** lam.size, symbols ** (delta.hi - lam.hi)
 
 
-def _rest_groups(words: list, p: list, q: list,
-                 rest_ix: list[int]) -> list[tuple[int, int, int]]:
+def _rest_groups(p: list, q: list, inner: int, stride: int) -> list[tuple[int, int, int]]:
     """Per rest word r, (a_r, b_r, g_r): a_r and b_r sum the int numerators
     a_w of p and b_w of q over r's words, and g_r sums |a_w b_r - b_w a_r|.
+    r's words are one strided slice of a block (_lam_layout), so zip over
+    the block's inner runs of stride words lists each rest word's values.
 
     With P = p / a and Q = q / b, the L1 gap between the conditionals on lam
     given r is g_r / (a_r b_r), and P_rest(r) is a_r / a.
     """
-    rest = itemgetter(*rest_ix)
-    groups: dict = {}
-    for w, x, y in zip(words, p, q):
-        groups.setdefault(rest(w), []).append((x, y))
     out = []
-    for pairs in groups.values():
-        a_r, b_r = sum(x for x, _ in pairs), sum(y for _, y in pairs)
-        out.append((a_r, b_r, sum(abs(x * b_r - y * a_r) for x, y in pairs)))
+    for lo in range(0, len(p), inner * stride):
+        runs = range(lo, lo + inner * stride, stride)
+        for xs, ys in zip(zip(*(p[j:j + stride] for j in runs)),
+                          zip(*(q[j:j + stride] for j in runs))):
+            a_r, b_r = sum(xs), sum(ys)
+            out.append((a_r, b_r, sum(abs(x * b_r - y * a_r) for x, y in zip(xs, ys))))
     return out
 
 
@@ -204,12 +207,12 @@ def tv_identity_check(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
     holds by construction.  The literal per-word formulas in the tests check
     the identity itself.
     """
-    rest_ix = _rest_positions(delta, lam)
-    words, p, a, q, b, exact = next(_scaled_pairs(nu, mu, delta.lo, delta.size, delta.size))
+    layout = _lam_layout(delta, lam, len(nu.alphabet))
+    p, a, q, b, exact = next(_scaled_pairs(nu, mu, delta.lo, delta.size, delta.size))
     if any(x != 0 and y == 0 for x, y in zip(p, q)):
         raise ZeroProbabilityError(
             "identity needs nu absolutely continuous w.r.t. mu on delta")
-    side = _mean_gap(_rest_groups(words, p, q, rest_ix), a)
+    side = _mean_gap(_rest_groups(p, q, *layout), a)
     if not exact:
         side = float(side)
     return TvIdentityResult(side, side, exact, True)
@@ -237,8 +240,8 @@ def conditional_gap_probe(nu: MeasureProvider, mu: MeasureProvider, lam: Window,
         raise ValueError("n_max must exceed lam.hi")
     rows = []
     pairs = _scaled_pairs(nu, mu, lam.lo, lam.size + 1, n_max - lam.lo + 1)
-    for n, (words, p, a, q, b, _) in zip(range(lam.hi + 1, n_max + 1), pairs):
-        groups = _rest_groups(words, p, q, _rest_positions(Window(lam.lo, n), lam))
+    for n, (p, a, q, b, _) in zip(range(lam.hi + 1, n_max + 1), pairs):
+        groups = _rest_groups(p, q, *_lam_layout(Window(lam.lo, n), lam, len(nu.alphabet)))
         uncovered = any(a_r and not b_r for a_r, b_r, _ in groups)
         gaps = [(g_r, a_r, b_r) for a_r, b_r, g_r in groups if a_r and b_r]
         mean = _mean_gap(groups, a)

@@ -57,6 +57,19 @@ BENCH_CHANNELS = (
     ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
 )
 
+# one channel per kind of zero pattern, each exact one then its float twin:
+# no jitter, an inner zero input weight, a wide alphabet (mostly dense
+# symbols), a high d (most symbols all zero) and a jitter near 2^-498
+PATTERN_CHANNELS = tuple(
+    twin
+    for d, k, p, eps in ((2, 3, HALF, Fraction(0)),
+                         (2, 4, (Fraction(1, 2), Fraction(0), Fraction(1, 2)), Fraction(1, 4)),
+                         (2, 40, (Fraction(1, 39),) * 39, Fraction(1, 4)),
+                         (40, 41, HALF, Fraction(1, 4)),
+                         (2, 3, HALF, Fraction(1e-150)))
+    for twin in (ChannelParams(d, k, p, eps),
+                 ChannelParams(d, k, tuple(map(float, p)), float(eps))))
+
 # a word on the k = 4 float channel whose plain forward loop ends subnormal
 # (exact probability 9.5141770462e-313)
 SUBNORMAL_WORD = tuple(simulate(BENCH_CHANNELS[2], 800, Rng(0)).tolist()[:533])
@@ -261,10 +274,11 @@ def _literal_cylinder(params, word):
 
 
 @st.composite
-def channel_words(draw):
-    """A bench channel in either mode and a word of length up to 800: a
-    sampled one, the same with a forbidden 00 written in, or a raw one."""
-    params = draw(st.sampled_from(BENCH_CHANNELS))
+def channel_words(draw, channels=BENCH_CHANNELS):
+    """A channel (a bench one in either mode by default) and a word of
+    length up to 800: a sampled one, the same with a forbidden 00 written
+    in, or a raw one."""
+    params = draw(st.sampled_from(channels))
     n = draw(st.integers(1, 800))
     kind = draw(st.sampled_from(("sampled", "forbidden", "raw")))
     if kind == "raw":
@@ -298,6 +312,105 @@ def test_cylinders_keep_the_literal_forward_loops_bits(case):
     else:
         assert math.isfinite(log)
         assert cylinder_log_prob(params, word).hex() == log.hex()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=channel_words(PATTERN_CHANNELS))
+@example(case=(PATTERN_CHANNELS[7], (38, 39, 40, 41, 42, 43)))  # one symbol per nonzero pattern
+@example(case=(PATTERN_CHANNELS[7], (40, 0, 41)))  # an all-zero symbol kills the mass
+def test_every_zero_pattern_keeps_the_literal_forward_loops_bits(case):
+    # cylinder_prob, cylinder_log_prob, prob, log_prob and a conditional,
+    # each with the literal loop's type and bits
+    params, word = case
+    nu = BitShiftMeasure(params)
+    prob, log = _literal_cylinder(params, word)
+    cfg = config(nu.alphabet, 1, word)
+    for got in (cylinder_prob(params, word), nu.prob(cfg)):
+        assert type(got) is type(prob)
+        assert got == prob if params.exact else got.hex() == prob.hex()
+    for log_of in (lambda: cylinder_log_prob(params, word), lambda: nu.log_prob(cfg)):
+        if log is None:
+            with pytest.raises(ZeroProbabilityError):
+                log_of()
+        else:
+            assert log_of().hex() == log.hex()
+    cut = len(word) // 2
+    if not cut:
+        return
+    given = config(nu.alphabet, 1, word[:cut])
+    target = config(nu.alphabet, 1 + cut, word[cut:])
+    p_given = _literal_cylinder(params, word[:cut])[0]
+    if not p_given:
+        with pytest.raises(ZeroProbabilityError):
+            conditional_prob(nu, target, given)
+        return
+    got, want = conditional_prob(nu, target, given), prob / p_given
+    assert type(got) is type(want)
+    if params.exact:
+        assert got == want
+    elif p_given >= 2.0 ** -1022 and (prob == 0 or prob >= 2.0 ** -1022):
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("params", PATTERN_CHANNELS)
+def test_every_zero_pattern_keeps_the_literal_distributions(params):
+    # distribution lists every word, the dropped ones as zeros of the
+    # mode's type; block_distribution lists the live ones
+    nu, kind = BitShiftMeasure(params), Fraction if params.exact else float
+    for n in range(1, 3 if params.k > 4 else 5):
+        want = _literal_block_distribution(params, n)
+        got = nu.distribution(Window(1, n))
+        assert all(type(v) is kind for v in got.values())
+        assert all(v == 0 for w, v in got.items() if w not in want)
+        for dist in ({w: got[w] for w in want}, block_distribution(params, n)):
+            assert list(dist) == list(want)
+            assert [type(v) for v in dist.values()] == [kind] * len(want)
+            if params.exact:
+                assert list(dist.values()) == list(want.values())
+            else:
+                assert [v.hex() for v in dist.values()] == [v.hex() for v in want.values()]
+
+
+@pytest.mark.parametrize("params", PATTERN_CHANNELS + BENCH_CHANNELS)
+def test_kernel_steps_every_symbol_as_the_dense_loop_does(params):
+    # entry for entry, with the mode's type: an int 0 in a float state
+    # would compare and hash equal to 0.0 but is not interchangeable with it
+    init, mats, _, _ = params._forward_model
+    fold, step = params._kernel
+    one = init[1] ** 0  # 1 or 1.0
+    for a in (init, (one, 2 * one, 3 * one)):
+        for y, m in enumerate(mats):
+            want = tuple(m[3 * t] * a[0] + m[3 * t + 1] * a[1] + m[3 * t + 2] * a[2]
+                         for t in range(3))
+            alpha, e = fold(a, (y,))  # a float fold may rescale, by an exact power of two
+            got = tuple(math.ldexp(v, e) for v in alpha) if e else alpha
+            assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+            got = step(a, y)
+            if any(want):
+                assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+            else:
+                assert got is None
+
+
+def test_channels_sharing_a_pattern_set_share_one_compiled_kernel():
+    bitshift._kernel_maker.cache_clear()
+    first = ChannelParams(2, 3, (Fraction(1, 3), Fraction(2, 3)), Fraction(1, 5))
+    BitShiftMeasure(first)
+    assert "_kernel" not in vars(first)  # built on first use, not with the channel
+    cylinder_prob(first, (2, 3))
+    info = bitshift._kernel_maker.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    second = ChannelParams(2, 3, HALF, Fraction(1, 4))  # the same zero patterns
+    cylinder_prob(second, (2, 3))
+    info = bitshift._kernel_maker.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert second._kernel[0].__code__ is first._kernel[0].__code__
+    # the float twin is another mode, the quiet channel another pattern set
+    for other in (ChannelParams(2, 3, (0.5, 0.5), 0.25), quiet_channel()):
+        cylinder_prob(other, (2, 3))
+        assert other._kernel[0].__code__ is not first._kernel[0].__code__
+    info = bitshift._kernel_maker.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
 
 
 def test_cylinder_prob_has_probs_bits_where_the_plain_loop_ends_subnormal():
