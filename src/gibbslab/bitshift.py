@@ -53,7 +53,7 @@ JITTER = (-1, 0, 1)
 BLOCK_ENTROPY_CAP = 12
 CAPACITY_EVAL_CAP = 10_000  # entropy_bounds calls one capacity_search may make
 BLOCK_WORD_CAP = 8  # longest word block_distribution lists
-BLOCK_ROWS = 200_000  # the entropy sweep's numpy products hold <= 3 * BLOCK_ROWS doubles
+BLOCK_ROWS = 16_384  # float numpy blocks hold <= 3 * BLOCK_ROWS doubles (384 KB, cache-sized)
 TINY = 2.0 ** -64  # a float forward vector whose sum falls below this is rescaled
 _LEAF = {False: _left_sum, True: sum}  # exact -> the sum that closes a forward vector
 
@@ -321,22 +321,36 @@ def is_admissible(params: ChannelParams, y: Sequence[int]) -> AdmissibilityResul
 
 def simulate(params: ChannelParams, n: int, rng: Rng) -> np.ndarray:
     """Sample one output word of length n (input and jitter drawn i.i.d.)."""
-    return _simulate(params, n, 1, rng.generator())[0]
+    import numpy as np
+    return _simulate(params, n, 1, rng.generator())[0].astype(np.int64)
 
 
 def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
-    """count output words of length n, one per row, drawn from gen."""
+    """count output words of length n, one per row, drawn from gen as small
+    unsigned ints: all count * n input draws, then all count * (n + 1)
+    jitter draws, each in blocks of at most 3 * BLOCK_ROWS doubles.  A draw
+    u picks the symbol whose cdf interval holds it, counted as the number of
+    cdf steps c <= u added into the words; a jitter adds its count to the
+    output on its left and subtracts it from the one on its right (its -1
+    offset cancels), and no partial sum leaves [0, k + 2]."""
     Rng.check_draws(count, n + 1)
     import numpy as np
-    pf = np.array([float(w) for w in params.p])
-    x_cdf = np.cumsum(pf)
-    jf = np.array([float(params.jitter_weight(w)) for w in JITTER])
-    w_cdf = np.cumsum(jf)
-    u = gen.random((count, n))
-    x = params.d + sum(u >= c for c in x_cdf[:-1])
-    u = gen.random((count, n + 1))
-    w = sum(u >= c for c in w_cdf[:-1]) - 1
-    return x + w[:, 1:] - w[:, :-1]
+    x_cdf = np.cumsum([float(w) for w in params.p])
+    w_cdf = np.cumsum([float(params.jitter_weight(w)) for w in JITTER])
+    dtype = np.min_scalar_type(params.k + 2)
+    y = np.full((count, n), params.d, dtype=dtype)
+    w = np.zeros((count, n + 1), dtype=dtype)
+    block = 3 * BLOCK_ROWS
+    u = np.empty(min(block, w.size))
+    for counts, cdf in ((y.reshape(-1), x_cdf), (w.reshape(-1), w_cdf)):
+        for start in range(0, counts.size, block):
+            part = counts[start:start + block]
+            draws = gen.random(out=u[:part.size])
+            for c in cdf[:-1]:
+                part += draws >= c
+    y += w[:, 1:]
+    y -= w[:, :-1]
+    return y
 
 
 class BitShiftMeasure(MeasureProvider):
@@ -425,10 +439,12 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
 
 
 def _neg_entropy_sum(w: np.ndarray) -> float:
-    """-sum of w log w over the entries of w, zeros contributing nothing."""
+    """-sum of w log w over the entries of w, zeros contributing nothing: a
+    zero is read as the least subnormal, whose log times 0 adds -0.0, so no
+    copy of the positive entries is made."""
     import numpy as np
-    w = w[w > 0.0]
-    terms = np.log(w)
+    terms = np.maximum(w, np.finfo(float).smallest_subnormal)
+    np.log(terms, out=terms)
     terms *= w
     return -float(terms.sum())
 
@@ -465,11 +481,14 @@ def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarr
     nothing, so nothing is pruned or closed there.  h[m] is -sum of w log w
     over the length-(m + 1) words of the expanded rows.  Rows go through in
     chunks, so no product holds more than 3 * block_rows doubles (or one
-    row's products, if those are more).  Traversal order is fixed, so float
-    accumulation is reproducible.
+    row's products, if those are more); a level frees its chunk's products
+    before it recurses into the rows it expands.  Each level keeps its
+    chunks' sums and adds them exactly (math.fsum), so the chunk boundaries
+    move a level by a few ulps, not by one rounding per chunk.  Traversal
+    order is fixed, so float accumulation is reproducible.
     """
     import numpy as np
-    h, c, c_log_c = np.zeros(n), np.zeros(n), np.zeros(n)
+    h, c, c_log_c = ([[] for _ in range(n)] for _ in range(3))  # chunk sums per level
     step, c1, c2 = model
     n_sym = c1.shape[1]
     step_chunk = max(1, block_rows // n_sym)
@@ -479,23 +498,25 @@ def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarr
         if level >= n - 2:
             for start in range(0, rows.shape[0], tail_chunk):
                 part = rows[start:start + tail_chunk]
-                h[level] += _neg_entropy_sum(part @ c1)
+                h[level].append(_neg_entropy_sum(part @ c1))
                 if level + 1 < n:
-                    h[level + 1] += _neg_entropy_sum(part @ c2)
+                    h[level + 1].append(_neg_entropy_sum(part @ c2))
             return
         for start in range(0, rows.shape[0], step_chunk):
             children = (rows[start:start + step_chunk] @ step).reshape(-1, 3)
             a0, a1, a2 = children.T  # column adds: an axis-1 sum of 3-wide rows costs ~12x
             w = a0 + a1 + a2
-            h[level] += _neg_entropy_sum(w)
+            h[level].append(_neg_entropy_sum(w))
             live = np.add(a0 > 0.0, a1 > 0.0, dtype=np.int8) + (a2 > 0.0)
             closed = w[live == 1]
-            c[level + 1] += closed.sum()
-            c_log_c[level + 1] += closed @ np.log(closed)
-            sweep(children[live > 1], level + 1)
+            c[level + 1].append(float(closed.sum()))
+            c_log_c[level + 1].append(float(closed @ np.log(closed)))
+            expand = children[live > 1]
+            del children, a0, a1, a2, w, live, closed  # the recursion holds only expand
+            sweep(expand, level + 1)
 
     sweep(init.reshape(1, 3), 0)
-    return h, c, c_log_c
+    return tuple(np.array([math.fsum(v) for v in sums]) for sums in (h, c, c_log_c))
 
 
 def _closed_levels(sums: tuple[np.ndarray, np.ndarray, np.ndarray], sigma: float,

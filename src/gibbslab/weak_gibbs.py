@@ -560,6 +560,7 @@ def bad_tail_fraction(params: InteractionParams, omega: Configuration, eps: floa
         raise ValueError("tail_depth must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    Rng.check_draws(samples, tail_depth)
     head = (1,) + omega.restrict(1, n).values
     ref1, _ = _kernel(params, (1,) + omega.values, omega.tail is Tail.ZERO_FILL)
     state = _scan(head, params, params.m)  # each sample resumes after site n

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,8 @@ from gibbslab import (
 )
 from gibbslab import bitshift
 from gibbslab.bitshift import (
-    CAPACITY_EVAL_CAP, JITTER, _entropy_sweeps, _simulate, transition_matrices)
+    BLOCK_ENTROPY_CAP, BLOCK_ROWS, CAPACITY_EVAL_CAP, JITTER, _entropy_sweeps, _simulate,
+    transition_matrices)
 from gibbslab.core import (
     DRAW_CAP, Configuration, Alphabet, binary_config, config, is_exact)
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
@@ -704,6 +706,19 @@ def test_entropy_sweep_in_tiny_blocks_gives_the_default_levels(params):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("params", [
+    *SWEEP_CHANNELS, ChannelParams(3, 6, (0.1, 0.2, 0.3, 0.4), 0.3)])
+def test_entropy_sweep_levels_hardly_depend_on_the_block_size(params):
+    # each level sums its chunks' sums exactly (fsum), so chunk boundaries move
+    # a level by a few ulps, not by a rounding per chunk
+    init, mats = params._float_model
+    want = _entropy_sweeps(mats, init, 7)
+    for block_rows in (1, 7, 50):
+        got = _entropy_sweeps(mats, init, 7, block_rows=block_rows)
+        for g, w in zip(got, want):
+            assert (np.abs(g - w) <= 4 * np.spacing(w)).all()
+
+
 def test_block_entropy_is_the_last_level(std_channel):
     assert block_entropy(std_channel, 5) == float(entropy_levels(std_channel, 5)[4])
 
@@ -736,6 +751,59 @@ def test_simulate_produces_admissible_words(std_channel):
     assert not ((pairs[0] == 0) & (pairs[1] == 0)).any()
     again = simulate(std_channel, 400, Rng(4))
     assert (y == again).all()
+
+
+def _one_shot_simulate(params, n, count, gen):
+    """The sampler as it drew before it drew in blocks: every input draw at
+    once, then every jitter draw, each symbol a sum of cdf comparisons."""
+    pf = np.array([float(w) for w in params.p])
+    x_cdf = np.cumsum(pf)
+    jf = np.array([float(params.jitter_weight(w)) for w in JITTER])
+    w_cdf = np.cumsum(jf)
+    u = gen.random((count, n))
+    x = params.d + sum(u >= c for c in x_cdf[:-1])
+    u = gen.random((count, n + 1))
+    w = sum(u >= c for c in w_cdf[:-1]) - 1
+    return x + w[:, 1:] - w[:, :-1]
+
+
+@pytest.mark.parametrize("params", [
+    ChannelParams(2, 3, HALF, Fraction(1, 4)),
+    ChannelParams(2, 4, (0.25, 0.5, 0.25), 0.125),
+    ChannelParams(3, 6, (0.1, 0.2, 0.3, 0.4), 0.3),
+    ChannelParams(2, 3, (0.5, 0.5), 0.0),
+], ids=["2-inputs", "3-inputs", "4-inputs", "quiet"])
+@pytest.mark.parametrize("n", [1, 7, 200, 2000])
+def test_blocked_sampler_draws_the_one_shot_samplers_words(params, n):
+    block = 3 * BLOCK_ROWS  # doubles per block of draws
+    rows = -(-block // n)  # the first count whose input draws fill a block
+    counts = [1, rows - 1, rows, rows + 1] + ([2060] if n <= 200 else [])
+    for seed, count in enumerate(counts):
+        got = _simulate(params, n, count, Rng(seed).generator())
+        want = _one_shot_simulate(params, n, count, Rng(seed).generator())
+        assert got.shape == want.shape and (got == want).all()
+
+
+def test_simulate_returns_int64(std_channel):
+    assert simulate(std_channel, 50, Rng(3)).dtype == np.int64
+
+
+def test_float_numpy_paths_hold_a_few_megabytes():
+    # the bound table at the cap and the bench's smb estimate once took
+    # 26.8 and 12.3 MB; numpy.random allocates as it loads, so it loads first
+    import numpy.random  # noqa: F401
+    params = ChannelParams(2, 3, HALF, Fraction(1, 4))
+    for p in (params, STD_FLOAT):
+        assert p._float_model  # the cached float models are built before tracing
+    for run in (lambda: entropy_bound_table(params, BLOCK_ENTROPY_CAP),
+                lambda: smb_estimate(STD_FLOAT, 200, 2000, Rng(1, 7))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def test_smb_estimate_is_deterministic(std_channel):

@@ -398,10 +398,13 @@ class _NoDraws:
      (11_184_811, 3)),
     ("wg-badsets", {"experiment": "correlation_hist", "samples": 4_194_305, "depth": 8},
      (4_194_305, 8)),
+    # 262,145 tails of the default depth 128 are the first count past 2^28 bytes
+    ("wg-badsets", {"experiment": "tail_fraction", "rho": "1/2", "m": 40, "omega": "1101101101",
+                    "eps": 0.001, "n_list": [2, 4], "samples": 262_145}, (262_145, 128)),
     # a batch of 2048 words of n = 16384 symbols draws 2048 x 16385 jitters
     ("bs-entropy", {**STD_CHANNEL, "experiment": "smb", "n": 16384, "samples": 4096},
      (2048, 16385)),
-], ids=["frequency-huge", "frequency", "correlation_hist", "smb"])
+], ids=["frequency-huge", "frequency", "correlation_hist", "tail_fraction", "smb"])
 def test_draw_arrays_over_the_byte_cap_exit_two_before_any_draw(
         tmp_path, capsys, monkeypatch, sub, payload, shape):
     monkeypatch.setattr(Rng, "generator", lambda self: _NoDraws())

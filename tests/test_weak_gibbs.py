@@ -31,6 +31,7 @@ from gibbslab import (
     run_length,
     single_site_kernel,
 )
+from gibbslab import weak_gibbs as wg
 from gibbslab.oracle import _brute_weight
 
 HALF = InteractionParams(Fraction(1, 2), 8)
@@ -592,6 +593,20 @@ def test_sampled_fractions_need_a_sample(samples):
 def test_tail_fraction_needs_a_tail_site():
     with pytest.raises(ValueError, match=r"^tail_depth must be >= 1$"):
         bad_tail_fraction(HALF, binary_config("10", lo=1), 0.1, 2, 4, Rng(9), tail_depth=0)
+
+
+@pytest.mark.parametrize("samples, tail_depth", [(262_145, 128), (10 ** 15, 10 ** 15)])
+def test_tail_fraction_draws_stop_at_the_byte_cap(monkeypatch, samples, tail_depth):
+    # 262,145 x 128 is the first count of default-depth tails past 2^28 bytes; the
+    # refusal comes before the head is scanned or any array of draws is made
+    def refuse(*args):
+        pytest.fail("scanned or drew past the draw cap")
+
+    monkeypatch.setattr(Rng, "generator", refuse)
+    monkeypatch.setattr(wg, "_scan", refuse)
+    with pytest.raises(EnumerationCapError, match=f"^{samples} x {tail_depth} random draws"):
+        bad_tail_fraction(HALF, binary_config("10", lo=1), 0.1, 2, samples, Rng(9),
+                          tail_depth=tail_depth)
 
 
 # ------------------------------------------------------- enumerated radius
