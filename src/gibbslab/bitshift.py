@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -56,6 +57,7 @@ BLOCK_WORD_CAP = 8  # longest word block_distribution lists
 BLOCK_ROWS = 16_384  # float numpy blocks hold <= 3 * BLOCK_ROWS doubles (384 KB, cache-sized)
 TINY = 2.0 ** -64  # a float forward vector whose sum falls below this is rescaled
 _LEAF = {False: _left_sum, True: sum}  # exact -> the sum that closes a forward vector
+_SCRATCH = threading.local()  # .pair: this thread's float64 scratch pair (_scratch)
 
 
 @dataclass(frozen=True)
@@ -325,10 +327,25 @@ def simulate(params: ChannelParams, n: int, rng: Rng) -> np.ndarray:
     return _simulate(params, n, 1, rng.generator())[0].astype(np.int64)
 
 
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's pair (a, b) of flat float64 scratch buffers, each of at
+    least size doubles, for the transient products of the numpy paths.  A
+    pair is kept for the thread's life and replaced only by a larger one, so
+    a sweep or a sampler reuses the same memory call after call instead of
+    allocating, freeing and faulting it in again chunk after chunk.  Their
+    contents are whatever the last user left: a caller writes before it reads."""
+    pair = getattr(_SCRATCH, "pair", None)
+    if pair is None or pair[0].size < size:
+        import numpy as np
+        pair = _SCRATCH.pair = (np.empty(size), np.empty(size))
+    return pair
+
+
 def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
     """count output words of length n, one per row, drawn from gen as small
     unsigned ints: all count * n input draws, then all count * (n + 1)
-    jitter draws, each in blocks of at most 3 * BLOCK_ROWS doubles.  A draw
+    jitter draws, each in blocks of at most 3 * BLOCK_ROWS doubles, drawn
+    into the thread's first scratch buffer (_scratch).  A draw
     u picks the symbol whose cdf interval holds it, counted as the number of
     cdf steps c <= u added into the words; a jitter adds its count to the
     output on its left and subtracts it from the one on its right (its -1
@@ -341,7 +358,7 @@ def _simulate(params: ChannelParams, n: int, count: int, gen) -> np.ndarray:
     y = np.full((count, n), params.d, dtype=dtype)
     w = np.zeros((count, n + 1), dtype=dtype)
     block = 3 * BLOCK_ROWS
-    u = np.empty(min(block, w.size))
+    u = _scratch(block)[0]
     for counts, cdf in ((y.reshape(-1), x_cdf), (w.reshape(-1), w_cdf)):
         for start in range(0, counts.size, block):
             part = counts[start:start + block]
@@ -438,12 +455,13 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
     return next(prefix_walk(params.output_symbols, n, start, step, {}, last))
 
 
-def _neg_entropy_sum(w: np.ndarray) -> float:
+def _neg_entropy_sum(w: np.ndarray, terms: np.ndarray) -> float:
     """-sum of w log w over the entries of w, zeros contributing nothing: a
     zero is read as the least subnormal, whose log times 0 adds -0.0, so no
-    copy of the positive entries is made."""
+    copy of the positive entries is made.  The terms are formed in place in
+    terms, an array of w's shape that does not overlap it."""
     import numpy as np
-    terms = np.maximum(w, np.finfo(float).smallest_subnormal)
+    np.maximum(w, math.ulp(0.0), out=terms)
     np.log(terms, out=terms)
     terms *= w
     return -float(terms.sum())
@@ -481,8 +499,10 @@ def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarr
     nothing, so nothing is pruned or closed there.  h[m] is -sum of w log w
     over the length-(m + 1) words of the expanded rows.  Rows go through in
     chunks, so no product holds more than 3 * block_rows doubles (or one
-    row's products, if those are more); a level frees its chunk's products
-    before it recurses into the rows it expands.  Each level keeps its
+    row's products, if those are more), and every product is written into
+    the thread's scratch pair (_scratch), not into a fresh array; only the
+    closed weights and the expanded rows are copied out of it, before the
+    level recurses into the rows it expands.  Each level keeps its
     chunks' sums and adds them exactly (math.fsum), so the chunk boundaries
     move a level by a few ulps, not by one rounding per chunk.  Traversal
     order is fixed, so float accumulation is reproducible.
@@ -493,26 +513,40 @@ def _sweep_sums(model: tuple[np.ndarray, np.ndarray, np.ndarray], init: np.ndarr
     n_sym = c1.shape[1]
     step_chunk = max(1, block_rows // n_sym)
     tail_chunk = max(1, 3 * block_rows // (n_sym * n_sym))
+    a, b = _scratch(max(3 * block_rows, 3 * n_sym, n_sym * n_sym))
+
+    def rows_of(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        return buf[:rows * cols].reshape(rows, cols)
+
+    # a chunk's product goes into a; w and its terms, or a tail product's terms, into b
+    step_out = rows_of(a, step_chunk, 3 * n_sym)
+    c1_out, c1_terms = rows_of(a, tail_chunk, n_sym), rows_of(b, tail_chunk, n_sym)
+    c2_out, c2_terms = rows_of(a, tail_chunk, n_sym * n_sym), rows_of(b, tail_chunk, n_sym * n_sym)
 
     def sweep(rows: np.ndarray, level: int) -> None:
         if level >= n - 2:
             for start in range(0, rows.shape[0], tail_chunk):
                 part = rows[start:start + tail_chunk]
-                h[level].append(_neg_entropy_sum(part @ c1))
+                r = part.shape[0]
+                h[level].append(_neg_entropy_sum(np.matmul(part, c1, out=c1_out[:r]),
+                                                 c1_terms[:r]))
                 if level + 1 < n:
-                    h[level + 1].append(_neg_entropy_sum(part @ c2))
+                    h[level + 1].append(_neg_entropy_sum(np.matmul(part, c2, out=c2_out[:r]),
+                                                         c2_terms[:r]))
             return
         for start in range(0, rows.shape[0], step_chunk):
-            children = (rows[start:start + step_chunk] @ step).reshape(-1, 3)
+            chunk = rows[start:start + step_chunk]
+            children = np.matmul(chunk, step, out=step_out[:chunk.shape[0]]).reshape(-1, 3)
             a0, a1, a2 = children.T  # column adds: an axis-1 sum of 3-wide rows costs ~12x
-            w = a0 + a1 + a2
-            h[level].append(_neg_entropy_sum(w))
+            w = np.add(a0, a1, out=b[:a0.size])
+            w += a2
+            h[level].append(_neg_entropy_sum(w, b[w.size:2 * w.size]))
             live = np.add(a0 > 0.0, a1 > 0.0, dtype=np.int8) + (a2 > 0.0)
             closed = w[live == 1]
             c[level + 1].append(float(closed.sum()))
             c_log_c[level + 1].append(float(closed @ np.log(closed)))
-            expand = children[live > 1]
-            del children, a0, a1, a2, w, live, closed  # the recursion holds only expand
+            expand = children[live > 1]  # a copy: the recursion overwrites a and b
+            del live, closed  # the recursion holds only expand
             sweep(expand, level + 1)
 
     sweep(init.reshape(1, 3), 0)

@@ -74,10 +74,19 @@ class InteractionParams:
         """(nums, den, zero): rho^e == nums[e] / den for e = 0..m/2, from
         integer_scaled, and a zero of rho's type.  Built on first use and kept
         on the instance, not in a cache keyed on the params, because an exact
-        instance and its float twin compare and hash equal."""
-        nums, den = integer_scaled([_rho_pow(self.rho, e) for e in range(self.m // 2 + 1)],
-                                   self.exact)
-        return nums, den, Fraction(0) if self.exact else 0.0
+        instance and its float twin compare and hash equal.  An exact rho = a/b
+        is in lowest terms, so integer_scaled's lcm is b^(m/2) and its nums are
+        a^e b^(m/2 - e): they are built from running powers of a and b, without
+        a Fraction or a division per power."""
+        half = self.m // 2
+        if not self.exact:
+            nums, den = integer_scaled([_rho_pow(self.rho, e) for e in range(half + 1)], False)
+            return nums, den, 0.0
+        a_pows, b_pows = [1], [1]
+        for _ in range(half):
+            a_pows.append(a_pows[-1] * self.rho.numerator)
+            b_pows.append(b_pows[-1] * self.rho.denominator)
+        return [x * y for x, y in zip(a_pows, reversed(b_pows))], b_pows[-1], Fraction(0)
 
 
 @lru_cache(maxsize=None, typed=True)  # 1/2 and 0.5 hash equal; keep their powers apart

@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -35,7 +37,7 @@ from gibbslab import (
 from gibbslab import bitshift
 from gibbslab.bitshift import (
     BLOCK_ENTROPY_CAP, BLOCK_ROWS, CAPACITY_EVAL_CAP, JITTER, _entropy_sweeps, _simulate,
-    transition_matrices)
+    _sweep_model, _sweep_sums, transition_matrices)
 from gibbslab.core import (
     DRAW_CAP, Configuration, Alphabet, binary_config, config, is_exact)
 from gibbslab.oracle import ORACLE_ENTROPY_CAP, brute_block_entropy
@@ -717,6 +719,132 @@ def test_entropy_sweep_levels_hardly_depend_on_the_block_size(params):
         got = _entropy_sweeps(mats, init, 7, block_rows=block_rows)
         for g, w in zip(got, want):
             assert (np.abs(g - w) <= 4 * np.spacing(w)).all()
+
+
+def _per_chunk_neg_entropy_sum(w):
+    """_neg_entropy_sum as it was before the scratch pair: a fresh array of terms."""
+    terms = np.maximum(w, np.finfo(float).smallest_subnormal)
+    np.log(terms, out=terms)
+    terms *= w
+    return -float(terms.sum())
+
+
+def _per_chunk_sweep_sums(model, init, n, block_rows):
+    """_sweep_sums as it was before the scratch pair: every chunk's products
+    in fresh arrays, freed before the level recurses."""
+    h, c, c_log_c = ([[] for _ in range(n)] for _ in range(3))
+    step, c1, c2 = model
+    n_sym = c1.shape[1]
+    step_chunk = max(1, block_rows // n_sym)
+    tail_chunk = max(1, 3 * block_rows // (n_sym * n_sym))
+
+    def sweep(rows, level):
+        if level >= n - 2:
+            for start in range(0, rows.shape[0], tail_chunk):
+                part = rows[start:start + tail_chunk]
+                h[level].append(_per_chunk_neg_entropy_sum(part @ c1))
+                if level + 1 < n:
+                    h[level + 1].append(_per_chunk_neg_entropy_sum(part @ c2))
+            return
+        for start in range(0, rows.shape[0], step_chunk):
+            children = (rows[start:start + step_chunk] @ step).reshape(-1, 3)
+            a0, a1, a2 = children.T
+            w = a0 + a1 + a2
+            h[level].append(_per_chunk_neg_entropy_sum(w))
+            live = np.add(a0 > 0.0, a1 > 0.0, dtype=np.int8) + (a2 > 0.0)
+            closed = w[live == 1]
+            c[level + 1].append(float(closed.sum()))
+            c_log_c[level + 1].append(float(closed @ np.log(closed)))
+            expand = children[live > 1]
+            del children, a0, a1, a2, w, live, closed
+            sweep(expand, level + 1)
+
+    sweep(init.reshape(1, 3), 0)
+    return tuple(np.array([math.fsum(v) for v in sums]) for sums in (h, c, c_log_c))
+
+
+def _sweep_bytes(params, n, block_rows=BLOCK_ROWS):
+    init, mats = params._float_model
+    return [s.tobytes() for s in _sweep_sums(_sweep_model(mats), init, n, block_rows)]
+
+
+# (2, 40): 43 symbols, so one row's tail products are 1,849 doubles
+WIDE_FLOAT = PATTERN_CHANNELS[5]
+
+
+@pytest.mark.parametrize("params", [*SWEEP_CHANNELS, *PATTERN_CHANNELS[1::2]])
+def test_scratch_sweep_keeps_the_per_chunk_sweeps_bits(params):
+    # the wide channel's rows grow ~40x a level; past n = 4 a sweep takes seconds
+    depths = (1, 2, 3, 4) if params is WIDE_FLOAT else (1, 2, 3, 5, 8)
+    init, mats = params._float_model
+    model = _sweep_model(mats)
+    pair = bitshift._scratch(3 * BLOCK_ROWS)  # as large as any of these sweeps asks for
+    for n in depths:
+        for block_rows in (1, 7, 50, BLOCK_ROWS):
+            want = _per_chunk_sweep_sums(model, init, n, block_rows)
+            for buf in pair:  # a sum that reads a stale entry turns NaN
+                buf.fill(np.nan)
+            got = _sweep_sums(model, init, n, block_rows)
+            assert bitshift._scratch(1) is pair
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (n, block_rows)
+
+
+def _in_threads(*jobs):
+    """Run each job in a thread of its own, all started at once; their results."""
+    results, errors = [None] * len(jobs), []
+    barrier = threading.Barrier(len(jobs))
+
+    def run(i):
+        try:
+            barrier.wait(timeout=30)
+            results[i] = jobs[i]()
+        except Exception as exc:  # handed to the test thread, which fails on it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    return results
+
+
+def test_a_fresh_threads_scratch_pair_grows_and_keeps_every_sweeps_bits():
+    # block_rows 1 asks for max(3, 3 * 43, 43^2) doubles, the k = 3 sweep
+    # then for 3 * BLOCK_ROWS, and the wide sweep after it reads a larger pair
+    runs = [(WIDE_FLOAT, 4, 1), (STD_FLOAT, 8, BLOCK_ROWS), (WIDE_FLOAT, 4, BLOCK_ROWS),
+            (STD_FLOAT, 8, BLOCK_ROWS)]
+    want = [_sweep_bytes(*run) for run in runs]
+    got, = _in_threads(lambda: [_sweep_bytes(*run) for run in runs])
+    assert got == want
+
+
+def test_threads_sweeping_at_once_each_keep_their_serial_sums():
+    # more threads than cores, each on its own channel and so its own row counts
+    runs = [(STD_FLOAT, 8), (SWEEP_CHANNELS[1], 7), (PATTERN_CHANNELS[7], 8),
+            (PATTERN_CHANNELS[3], 8)]
+    want = [_sweep_bytes(*run) for run in runs]
+    got = _in_threads(*(lambda run=run: [_sweep_bytes(*run) for _ in range(3)] for run in runs))
+    assert got == [[w] * 3 for w in want]
+
+
+def test_a_warm_entropy_sweep_allocates_little():
+    # the products go into the thread's scratch pair; per-chunk arrays peaked at 1.0 MB
+    entropy_levels(STD_FLOAT, 9)  # the float model and the scratch pair are built here
+    tracemalloc.start()
+    try:
+        entropy_levels(STD_FLOAT, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 def test_block_entropy_is_the_last_level(std_channel):

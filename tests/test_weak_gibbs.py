@@ -32,6 +32,7 @@ from gibbslab import (
     single_site_kernel,
 )
 from gibbslab import weak_gibbs as wg
+from gibbslab.core import integer_scaled
 from gibbslab.oracle import _brute_weight
 
 HALF = InteractionParams(Fraction(1, 2), 8)
@@ -70,6 +71,16 @@ def test_params_reject_a_depth_that_is_not_an_integer(bad):
 
 
 # -------------------------------------------------------------- run length
+
+@pytest.mark.parametrize("rho", ["1/2", "1/3", "2/3", "7/10", "1/8", "999/1000"])
+@pytest.mark.parametrize("m", [0, 2, 10, 400, 1000])
+def test_exact_weights_are_the_integer_scaled_powers(rho, m):
+    rho = Fraction(rho)
+    nums, den, zero = InteractionParams(rho, m)._weights
+    want, want_den = integer_scaled([wg._rho_pow(rho, e) for e in range(m // 2 + 1)], True)
+    assert nums == want and den == want_den and zero == 0
+    assert all(type(v) is int for v in nums + [den]) and type(zero) is Fraction
+
 
 def test_run_length_counts_back_to_the_last_zero():
     om = binary_config("10111")
