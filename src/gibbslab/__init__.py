@@ -28,7 +28,6 @@ from .core import (
     glue,
     parse_prob,
     regularity_probe,
-    tv_distance,
 )
 from .weak_gibbs import (
     FiniteVolumeMeasure,

@@ -432,9 +432,9 @@ def bad_config_table(params: ChannelParams, n_max: int) -> tuple[BadConfigRow, .
 def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], Prob]:
     """Distribution over admissible length-n output words, from one walk that
     steps each distinct forward vector once and prunes zero ones.  An exact
-    walk closes its last site with the integer column sums of each symbol's
-    matrix (the C1 of _sweep_sums); a float one steps it, as column sums
-    round differently."""
+    walk stops one site short and closes the last site itself, with the
+    integer column sums of each symbol's matrix (the C1 of _sweep_sums); a
+    float one steps it, as column sums round differently."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > BLOCK_WORD_CAP:
@@ -452,7 +452,9 @@ def block_distribution(params: ChannelParams, n: int) -> dict[tuple[int, ...], P
         a0, a1, a2 = alpha
         return [(s, quotient(v)) for s, c0, c1, c2 in cols if (v := c0 * a0 + c1 * a1 + c2 * a2)]
 
-    return next(prefix_walk(params.output_symbols, n, start, step, {}, last))
+    walk = prefix_walk(params.output_symbols, n - 1, start, step, {n - 1: last})
+    ends = next(walk) if n > 1 else {(): last(start)}
+    return {word + s: v for word, end in ends.items() for s, v in end}
 
 
 def _neg_entropy_sum(w: np.ndarray, terms: np.ndarray) -> float:
@@ -716,9 +718,9 @@ def capacity_search(d: int, k: int, eps: Prob, grid: int = 8, refine: int = 3,
     if grid < parts:
         raise ValueError("grid must be at least the number of input symbols")
     # every interior grid point, then each round's moves around the incumbent
-    per_round = sum(1 for delta in itertools.product((-1, 0, 1), repeat=parts)
-                    if sum(delta) == 0 and any(delta))
-    evaluations = math.comb(grid - 1, parts - 1) + refine * per_round
+    deltas = [delta for delta in itertools.product((-1, 0, 1), repeat=parts)
+              if sum(delta) == 0 and any(delta)]
+    evaluations = math.comb(grid - 1, parts - 1) + refine * len(deltas)
     if evaluations > CAPACITY_EVAL_CAP:
         raise EnumerationCapError(
             f"capacity search with grid={grid}, refine={refine} over {parts} inputs "
@@ -741,9 +743,7 @@ def capacity_search(d: int, k: int, eps: Prob, grid: int = 8, refine: int = 3,
     for _ in range(refine):
         step /= 2
         p0 = best[0]
-        moves = {tuple(a + b for a, b in zip(p0, delta))
-                 for delta in itertools.product((-step, Fraction(0), step), repeat=parts)
-                 if sum(delta) == 0 and any(delta)}
+        moves = [tuple(a + step * b for a, b in zip(p0, delta)) for delta in deltas]
         best = min([best] + [(q, evaluate(q)) for q in moves if all(w > 0 for w in q)],
                    key=rank)
     p, (lower, upper) = best

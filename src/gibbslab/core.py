@@ -116,31 +116,22 @@ def _left_sum(values: Iterable, start=0) -> Prob:
     return reduce(operator.add, values, start)
 
 
-def scaled_quotient(num: int | float, den: int | float) -> Prob:
-    """num / den for sums over integer_scaled weights: one lowest-terms
-    Fraction for an int den, a float division otherwise."""
-    return Fraction(num, den) if isinstance(den, int) else num / den
-
-
 def scaled_quotients(nums: Mapping, den: int | float) -> dict:
-    """scaled_quotient of every value of nums over one den, keys kept.  For
-    an int den each distinct numerator becomes one Fraction, which every key
-    holding it shares (a window's words hold far fewer distinct numerators
-    than words)."""
+    """Every value of nums over one den, keys kept: a lowest-terms Fraction
+    for an int den, which every key holding that numerator shares (a
+    window's words hold far fewer distinct numerators than words), else a
+    float division."""
     if isinstance(den, int):
         fracs = {v: Fraction(v, den) for v in set(nums.values())}
         return {k: fracs[v] for k, v in nums.items()}
     return {k: v / den for k, v in nums.items()}
 
 
-def prefix_walk(symbols: Sequence[int], n: int, start, step, leaves: Mapping,
-                last=None) -> Iterator[dict]:
+def prefix_walk(symbols: Sequence[int], n: int, start, step, leaves: Mapping) -> Iterator[dict]:
     """Yield {word: leaves[l](state)} for each l in 1..n that leaves maps, in
     order: the words of length l over symbols, lexicographic, where a word's
     state is step(...step(start, w[0])..., w[l - 1]).  A step that returns
-    None drops that prefix and all its extensions.  last, if given, closes
-    the last site instead: last(state) lists ((s,), value) for the live
-    extensions of a state one site short.
+    None drops that prefix and all its extensions.
 
     The walk goes one site at a time and numbers the distinct states at each
     site: step runs once per distinct state and symbol, each prefix carries
@@ -149,10 +140,6 @@ def prefix_walk(symbols: Sequence[int], n: int, start, step, leaves: Mapping,
     interchangeable (same type and bits), since one stands for all."""
     states, level = [start], [((), 0)]  # level: (word, number of its state)
     for l in range(1, n + 1):
-        if l == n and last is not None:  # close the states one site short
-            ends = list(map(last, states))
-            yield {word + s: v for word, j in level for s, v in ends[j]}
-            return
         ids: dict = {}
         moves = [[((s,), ids.setdefault(nxt, len(ids))) for s in symbols
                   if (nxt := step(state, s)) is not None]
@@ -587,18 +574,6 @@ def conditional_prob(provider: MeasureProvider, target: Configuration,
     g = _cylinder_fold(provider, given.window.lo, given.values)(given.window.hi)
     j = _cylinder_fold(provider, joint.window.lo, joint.values)(joint.window.hi)
     return _fold_quotient(j, g, provider.label)
-
-
-def tv_distance(p: Mapping, q: Mapping) -> Prob:
-    """Total-variation distance as the plain L1 sum (no 1/2 factor)."""
-    if set(p.keys()) != set(q.keys()):
-        raise ValueError("distributions must share the same outcome set")
-    keys = sorted(p.keys())
-    exact = all(is_exact(p[k]) and is_exact(q[k]) for k in keys)
-    acc = Fraction(0) if exact else 0.0
-    for k in keys:
-        acc += abs(p[k] - q[k])
-    return acc
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .core import (
     format_prob,
     integer_scaled,
     is_exact,
-    scaled_quotient,
     _cylinder_fold,
     _fold_quotient,
     _left_sum,
@@ -195,7 +194,7 @@ def hamiltonian(params: InteractionParams, omega: Configuration) -> Prob:
         raise ValueError(
             f"omega must be defined through site {params.m} (or carry a zero-fill tail)")
     _, _, energy, _, _ = _scan(omega.values[:params.m + 1], params, params.m)
-    return scaled_quotient(energy, params._weights[1])
+    return _fold_quotient((energy, params._weights[1], 0))
 
 
 def _past_window(params: InteractionParams, bound: Prob, hi: int, depth: int,

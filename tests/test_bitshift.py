@@ -594,6 +594,30 @@ def test_block_distribution_is_the_literal_forward_loop(params):
             assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
+@pytest.mark.parametrize("params", [BENCH_CHANNELS[0], BENCH_CHANNELS[2], PATTERN_CHANNELS[2]],
+                         ids=["a", "b", "zero-input"])
+def test_exact_block_distribution_steps_one_site_short(params):
+    # the exact walk closes its last site by column sums, so it steps the
+    # states of a distribution one site shorter, and none at all at n = 1
+    def step_calls(run):
+        fresh = ChannelParams(params.d, params.k, params.p, params.eps)
+        fold, step = fresh._kernel
+        calls = []
+
+        def counted(alpha, y):
+            calls.append(y)
+            return step(alpha, y)
+
+        fresh.__dict__["_kernel"] = fold, counted
+        run(fresh)
+        return len(calls)
+
+    assert step_calls(lambda fresh: block_distribution(fresh, 1)) == 0
+    for n in range(2, 7):
+        shorter = step_calls(lambda fresh: BitShiftMeasure(fresh).distribution(Window(1, n - 1)))
+        assert step_calls(lambda fresh: block_distribution(fresh, n)) == shorter > 0
+
+
 def test_check_word_is_the_literal_rule(std_channel):
     """_check_word's fast path for int words keeps every result, error type
     and message of the rule it replaced: a type test per symbol, then the

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,24 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1] == runs[2]
+
+
+PINNED = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "pinned"
+
+
+@pytest.mark.parametrize("argv, config, expected", [
+    (["bs-badconfig", "--mode", "float"],
+     {"d": 2, "k": 3, "p": [0.5, 0.5], "eps": 0.25, "n_max": 700},
+     "badconfig-700.expected.csv"),
+    (["bs-cylinder", "--mode", "float"], "float-cylinders.json", "float-cylinders.expected.json"),
+    (["bs-entropy", "--mode", "float", "--seed", "1"], "float-smb.json", "float-smb.expected.json"),
+], ids=["badconfig-700", "float-cylinders", "float-smb"])
+def test_float_runs_print_the_pinned_bytes(tmp_path, argv, config, expected):
+    # the files CI compares the installed wheel's output with: float folds keep their bits
+    cfg = str(PINNED / config) if isinstance(config, str) else write_cfg(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == (PINNED / expected).read_bytes()
 
 
 def test_seed_is_recorded_and_changes_sampled_output(tmp_path, capsys):

@@ -31,7 +31,6 @@ from gibbslab import (
     glue,
     parse_prob,
     regularity_probe,
-    tv_distance,
 )
 from gibbslab.core import TableMeasure, prefix_walk, scaled_quotients
 
@@ -401,27 +400,6 @@ def test_float_conditional_keeps_a_subnormal_weight():
     assert conditional_prob(nu, config(BINARY, 0, [0]), config(BINARY, 1, [1, 0, 1])) == 5e-324
 
 
-# ----------------------------------------------------------- tv distance
-
-def test_tv_distance_is_unnormalized_l1():
-    p = {0: Fraction(3, 4), 1: Fraction(1, 4)}
-    q = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    assert tv_distance(p, q) == Fraction(1, 2)
-    assert tv_distance(q, p) == Fraction(1, 2)
-    assert tv_distance(p, p) == 0
-
-
-def test_tv_distance_between_point_masses_is_two():
-    p = {0: Fraction(1), 1: Fraction(0)}
-    q = {0: Fraction(0), 1: Fraction(1)}
-    assert tv_distance(p, q) == 2
-
-
-def test_tv_distance_rejects_support_mismatch():
-    with pytest.raises(ValueError):
-        tv_distance({0: Fraction(1)}, {1: Fraction(1)})
-
-
 # ----------------------------------------------------------- prefix walk
 
 def test_prefix_walk_steps_each_distinct_state_once_per_symbol():
@@ -465,16 +443,6 @@ def test_prefix_walk_steps_each_distinct_state_once_per_symbol():
     assert sum(steps.values()) == len(symbols) * sum(map(len, reached[:n]))
     assert leaves == Counter((l, x) for l in levels for x in reached[l])
 
-    # last closes the states one site short without stepping them
-    steps.clear()
-
-    def last(state):
-        i, x = state
-        return [((s,), 10 * nxt) for s in symbols if (nxt := fold(i, x, s)) is not None]
-
-    closed, = prefix_walk(symbols, n, (0, 0), step, {}, last)
-    assert list(closed.items()) == list(live[n].items())
-    assert {j for j, _, _ in steps} == set(range(n - 1)) and set(steps.values()) == {1}
 
 
 def test_scaled_quotients_build_one_fraction_per_distinct_numerator():
